@@ -12,12 +12,13 @@ checked against references computed outside the timed region.
 
 Times are reported at a reference machine speed.  On a shared 2-vCPU
 Xeon virtual machine the speed of the core this loop runs on changed by
-up to 1.8x over tens of seconds, on every workload alike.  So a fixed integer-arithmetic kernel
-that allocates nothing is timed every CALIBRATE_EVERY_S of loop time,
-outside the timed region, and every measured time is multiplied by
-SPEED_REF_S / (median of the last three kernel times).  Over 80 s of such
-swings this cut the spread between 10 s windows of one workload from 30%
-to 5%.  The raw rate and the speed factors are printed as well.
+up to 1.8x over tens of seconds, on every workload alike.  So a fixed
+integer-arithmetic kernel that allocates nothing is timed every
+CALIBRATE_EVERY_S of loop time, outside the timed region, and every
+measured time is multiplied by SPEED_REF_S / (median of the last three
+kernel times).  Over 80 s of such swings this cut the spread between 10 s
+windows of one workload from 30% to 5%.  The raw rate and the speed
+factors are printed as well.
 
 With --trace 0 the last line of stdout is a JSON object holding the
 end-to-end metrics.  With --trace 1 the package's public functions are
