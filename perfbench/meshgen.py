@@ -33,14 +33,10 @@ class Mesh:
     quasi_cross_cut: bool
     # (p, q, s, t) of the unique totally interior edge, when built to order
     tie: tuple[int, int, int, int] | None = None
-    census: dict = field(default_factory=dict)
+    census: dict = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.census:
-            self.census = census(self.vertices, self.triangles)
-
-    def to_json(self, float_at: int | None = None) -> str:
-        return mesh_json(self.vertices, self.triangles, float_at)
+        self.census = census(self.vertices, self.triangles)
 
 
 def mesh_json(vertices: list[Coord], triangles: list, float_at: int | None = None) -> str:

@@ -110,8 +110,6 @@ class Speed:
 
 def _corrupt(answer):
     """A wrong answer of the same shape, to prove the checks bite."""
-    if isinstance(answer, bool):
-        return not answer
     if isinstance(answer, (int, Fraction)):
         return answer + 1
     if isinstance(answer, str):

@@ -112,7 +112,7 @@ def mesh_ingest(seed: int, size: str, workdir: Path) -> list[Item]:
         meshes.append(mg.affine_image(star, rng) if k % 2 else star)
 
     for k, mesh in enumerate(meshes):
-        path = write(f"m{k}-{mesh.name}", mesh.to_json())
+        path = write(f"m{k}-{mesh.name}", mg.mesh_json(mesh.vertices, mesh.triangles))
         expect = (0, mg.validate_lines(mesh.census, mesh.quasi_cross_cut))
         items.append(Item(f"validate {mesh.name}", _cli_call(["validate", path]),
                           lambda ans, e=expect: ans == e))
