@@ -5,7 +5,8 @@
 Run from the root of a source checkout: the package is imported from
 ./src, never from an installed copy.  The workload's seed fixes every
 input.  Set-up (generating inputs, writing mesh files, pre-building
-meshes) runs several times and its median is reported as setup_s.  The
+meshes) is timed SETUP_SAMPLES times, each sample repeating it until
+SETUP_SAMPLE_S have passed; setup_s is the median time of one set-up.  The
 timed loop then runs whole rounds of the workload's items, one after the
 other with no threads, until --seconds have passed; every answer is then
 checked against references computed outside the timed region.
@@ -22,11 +23,11 @@ factors are printed as well.
 
 With --trace 0 the last line of stdout is a JSON object holding the
 end-to-end metrics.  With --trace 1 the package's public functions are
-rebound to recording wrappers (see tracing.py), the per-layer metrics,
-in raw seconds, are printed instead, and the same rounds are replayed
-untraced to measure the tracing overhead.  Exit status: 0 when every
-answer is right and no item raised, 1 otherwise, 2 when the benchmark
-cannot run at all.
+rebound to recording wrappers (see tracing.py) and the per-layer metrics,
+in raw seconds, are printed instead.  The cost of one span is measured
+in the same process every CALIBRATE_EVERY_S of loop time and taken out
+of the layers' self times.  Exit status: 0 when every answer is right and
+no item raised, 1 otherwise, 2 when the benchmark cannot run at all.
 """
 
 from __future__ import annotations
@@ -51,9 +52,12 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 # Set-up runs once before the loop and again between rounds at evenly
-# spaced points of the loop, SETUP_SAMPLES times in all; setup_s is their
-# median.
+# spaced points of the loop, SETUP_SAMPLES samples in all.  A sample
+# starts from a collected heap and repeats set-up until SETUP_SAMPLE_S
+# have passed, so a set-up of a few milliseconds is not timed alone;
+# setup_s is the median of the samples' time per set-up.
 SETUP_SAMPLES = 9
+SETUP_SAMPLE_S = 0.25
 CALIBRATE_EVERY_S = 0.2
 # kernel time that counts as reference speed; it only sets the scale of
 # every reported time
@@ -93,7 +97,8 @@ class Speed:
         for _ in range(3):
             self.calibrate()
 
-    def calibrate(self) -> None:
+    def calibrate(self) -> float:
+        """Time the kernel once more; return the factor to reference speed."""
         gc.disable()
         try:
             t0 = time.perf_counter()
@@ -103,8 +108,6 @@ class Speed:
             gc.enable()
         self.recent.append(took)
         self.samples.append(took)
-
-    def factor(self) -> float:
         return SPEED_REF_S / statistics.median(self.recent)
 
 
@@ -138,27 +141,25 @@ class Rounds:
 _FAILED = object()
 
 
-def run_rounds(items, seconds: float, rounds: int | None = None, speed: Speed | None = None,
-               between=None) -> Rounds:
-    """Whole rounds of items until `seconds` of loop time pass, or exactly `rounds`.
+def run_rounds(items, seconds: float, calibrate, between=None) -> Rounds:
+    """Whole rounds of items until `seconds` of loop time pass.
 
-    With a Speed, the kernel is timed every CALIBRATE_EVERY_S of loop time
-    and latencies are scaled to the reference speed; without, they are raw.
-    Answers are folded into per-item counts between rounds, outside the
-    timed part, so memory does not grow with the run; between(rec) is
-    called there too.
+    calibrate() runs at the start and every CALIBRATE_EVERY_S of loop
+    time, outside the timed part; it returns the factor that scales the
+    latencies that follow.  Answers are folded into per-item counts between
+    rounds, outside the timed part, so memory does not grow with the run;
+    between(rec) is called there too.
     """
     rec = Rounds(len(items))
     clock = time.perf_counter
-    factor = speed.factor() if speed else 1.0
-    next_calibration = CALIBRATE_EVERY_S
     gc.collect()
-    while (rec.wall < seconds) if rounds is None else rec.rounds < rounds:
+    factor = calibrate()
+    next_calibration = CALIBRATE_EVERY_S
+    while rec.wall < seconds:
         answers = [_FAILED] * len(items)
         for idx, item in enumerate(items):
-            if speed and rec.wall >= next_calibration:
-                speed.calibrate()
-                factor = speed.factor()
+            if rec.wall >= next_calibration:
+                factor = calibrate()
                 next_calibration = rec.wall + CALIBRATE_EVERY_S
             t0 = clock()
             try:
@@ -264,10 +265,13 @@ def _run(args, make, workdir: Path) -> int:
     setup_times: list[float] = []
 
     def setup():
-        speed.calibrate()
-        t0 = time.perf_counter()
-        made = make(args.seed, args.size, workdir)
-        setup_times.append((time.perf_counter() - t0) * speed.factor())
+        gc.collect()
+        factor = speed.calibrate()
+        made, runs, t0 = None, 0, time.perf_counter()
+        while runs == 0 or time.perf_counter() - t0 < SETUP_SAMPLE_S:
+            made = make(args.seed, args.size, workdir)
+            runs += 1
+        setup_times.append((time.perf_counter() - t0) / runs * factor)
         return made
 
     items = setup()
@@ -280,7 +284,7 @@ def _run(args, make, workdir: Path) -> int:
             setup()
         gc.collect()
 
-    rec = run_rounds(items, args.seconds, speed=speed, between=between)
+    rec = run_rounds(items, args.seconds, speed.calibrate, between=between)
     while len(setup_times) < SETUP_SAMPLES:
         setup()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -305,38 +309,49 @@ def _run(args, make, workdir: Path) -> int:
 
 def _run_traced(args, make, workdir: Path, tracing) -> int:
     tracer = tracing.Tracer()
+    tracer.calibrate()
     with tracer.installed():
         items = make(args.seed, args.size, workdir)
     first_loop_span = len(tracer.name_id)
+    # counts are taken over one pass: the set-up and the first round
+    pass_end, pass_counts = 0, {}
+
+    def calibrate() -> float:
+        tracer.calibrate()
+        return 1.0
+
+    def between(rec: Rounds) -> None:
+        nonlocal pass_end, pass_counts
+        if rec.rounds == 1:
+            pass_end, pass_counts = len(tracer.name_id), dict(tracer.counts)
+
     with tracer.installed():
         # each item's call becomes a span of the benchmark itself
         traced_items = [dataclasses.replace(item, run=tracer.wrap("bench", "item", "item",
                                                                    item.run))
                         for item in items]
-        rec = run_rounds(traced_items, args.seconds, speed=Speed())
-    replay = run_rounds(items, 0, rounds=rec.rounds, speed=Speed())
+        rec = run_rounds(traced_items, args.seconds, calibrate, between=between)
     wrong, failed = _report(args, items, rec)
 
-    # the replay runs later, at another machine speed: compare the two at
-    # reference speed, and state the overhead in the traced loop's seconds
     wall = rec.wall
-    traced_ref, replay_ref = sum(rec.latencies), sum(replay.latencies)
-    overhead = wall * (1 - replay_ref / traced_ref) if traced_ref else 0.0
-    values = tracer.metrics()
-    layers, harness = tracer.loop_accounting(first_loop_span)
+    values = tracer.metrics(pass_end, pass_counts)
+    layers, harness, overhead = tracer.loop_accounting(first_loop_span)
     values["trace.loop_wall_s"] = wall
     values["trace.loop_layers_s"] = layers
     values["trace.loop_harness_s"] = harness
     values["trace.overhead_s"] = overhead
+    rest = wall - overhead
+    per_span_us = [(c_in + c_out) * 1e6 for _, c_in, c_out in tracer.costs]
     print(f"trace: loop wall {wall:.3f} s = layers {layers:.3f} s + benchmark {harness:.3f} s "
-          f"+ unspanned {wall - layers - harness:.3f} s; tracing overhead {overhead:.3f} s "
-          f"(untraced replay at reference speed {replay_ref:.3f} s against {traced_ref:.3f} s); "
-          f"layers / (wall - overhead) {layers / (wall - overhead) if wall > overhead else 0:.3f}")
+          f"+ tracing {overhead:.3f} s + unaccounted {rest - layers - harness:.3f} s; "
+          f"layers / (wall - tracing) {layers / rest:.3f}; one span costs "
+          f"{min(per_span_us):.3f} to {max(per_span_us):.3f} us over "
+          f"{len(per_span_us)} calibrations")
     spans_path = Path.cwd() / ".perfbench_run" / f"spans-{args.workload}-seed{args.seed}.tsv.gz"
     tracer.write(spans_path)
     print(f"trace: {len(tracer.name_id)} spans written to {spans_path}")
     metrics = {name: {"value": values[name], "unit": unit}
-               for name, (unit, _, _) in tracing.METRICS.items()}
+               for name, unit in tracing.UNITS.items()}
     return _emit(metrics, rec, wrong, failed)
 
 

@@ -86,7 +86,7 @@ def _dim_check(ref_lower: int, ref_total: Callable[[], int]) -> Callable[[object
 # Validation is quadratic in the edge count at the seed: a 50-triangle grid
 # takes a third of a second and a 200-triangle one several seconds, which
 # would leave too few rounds in a run.
-GRID_SIZES = {"full": [(2, 2), (3, 2), (4, 2), (3, 3), (5, 2), (4, 3), (5, 3)],
+GRID_SIZES = {"full": [(2, 2), (3, 2), (4, 2), (3, 3), (5, 2), (4, 3), (6, 2), (7, 2), (5, 3)],
               "tiny": [(2, 2), (3, 2)]}
 
 
