@@ -1,75 +1,3 @@
 """Exact dimensions of smooth spline spaces over planar triangulations."""
 
-from .dimension import (
-    DimensionError,
-    DimReport,
-    OutOfBranch,
-    TrivialCase,
-    UnsupportedTopology,
-    VertexStarData,
-    dim,
-    dim_explicit,
-    dim_lattice,
-    f_explicit,
-    schumaker_lower_bound,
-    schumaker_lower_bound_params,
-    schumaker_lower_bound_prime,
-    stabilization_degree,
-)
-from .exact import RatMatrix, Rational, binom, format_rational, kernel_dim, parse_rational, rank
-from .oracle import (
-    DegenerateSlopes,
-    OracleError,
-    TooLarge,
-    dim_spline_oracle,
-    hilbert_colon_oracle,
-    hilbert_ideal_oracle,
-    homology_dim_oracle,
-)
-from .power_ideal import (
-    TiePair,
-    colon_membership,
-    hilbert_colon,
-    hilbert_power_ideal,
-    homology_dim,
-    homology_regularity,
-    in_membership,
-    intersection_initdeg,
-    supersmoothness_threshold,
-)
-from .triangulation import (
-    Edge,
-    MeshError,
-    MeshFormatError,
-    OneTieParams,
-    Point2,
-    Slope,
-    Triangulation,
-    affine_transform,
-    build,
-    dump_mesh,
-    extract_one_tie_params,
-    is_quasi_cross_cut,
-    load_bundled,
-    load_mesh,
-    parse_mesh,
-    slope_count,
-    slope_of,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DimReport", "DimensionError", "OutOfBranch", "TrivialCase", "UnsupportedTopology",
-    "VertexStarData", "dim", "dim_explicit", "dim_lattice", "f_explicit",
-    "schumaker_lower_bound", "schumaker_lower_bound_params", "schumaker_lower_bound_prime",
-    "stabilization_degree",
-    "RatMatrix", "Rational", "binom", "format_rational", "kernel_dim", "parse_rational", "rank",
-    "DegenerateSlopes", "OracleError", "TooLarge", "dim_spline_oracle",
-    "hilbert_colon_oracle", "hilbert_ideal_oracle", "homology_dim_oracle",
-    "TiePair", "colon_membership", "hilbert_colon", "hilbert_power_ideal", "homology_dim",
-    "homology_regularity", "in_membership", "intersection_initdeg", "supersmoothness_threshold",
-    "Edge", "MeshError", "MeshFormatError", "OneTieParams", "Point2", "Slope", "Triangulation",
-    "affine_transform", "build", "dump_mesh", "extract_one_tie_params", "is_quasi_cross_cut",
-    "load_bundled", "load_mesh", "parse_mesh", "slope_count", "slope_of",
-]

@@ -21,10 +21,10 @@ def _load(path: str) -> tg.Triangulation:
     p = Path(path)
     if p.exists():
         return tg.load_mesh(p)
-    # bare names fall back to the meshes shipped with the package
-    base = p.name
-    if base.removesuffix(".mesh") + ".mesh" in tg.bundled_mesh_names():
-        return tg.load_bundled(base)
+    # bare names, with no directory part, fall back to the meshes shipped
+    # with the package
+    if p.name == path and path.removesuffix(".mesh") + ".mesh" in tg.bundled_mesh_names():
+        return tg.load_bundled(path)
     raise FileNotFoundError(f"no such mesh file: {path}")
 
 
@@ -88,21 +88,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_regularity(args: argparse.Namespace) -> int:
-    tri = _load(args.mesh)
-    if tg.is_quasi_cross_cut(tri):
-        print("trivial case: quasi-cross-cut mesh, dim = L for all d")
-        return 0
-    ties = tri.totally_interior_edges()
-    if len(ties) != 1:
-        raise dimension.UnsupportedTopology(
-            f"{len(ties)} totally interior edges and not quasi-cross-cut")
-    params = tg.extract_one_tie_params(tri)
-    if params.trivial_slope_collision:
-        print("trivial case: shared-edge slope reappears at an endpoint, dim = L for all d")
-        return 0
-    if params.trivial_many_slopes(args.r):
-        print(f"trivial case: an endpoint carries at least r + 3 = {args.r + 3} slopes, "
-              "dim = L for all d")
+    kind, reason, params = dimension.classify(_load(args.mesh), args.r)
+    if kind != "one-tie":
+        print(f"trivial case: {reason}, dim = L for all d")
         return 0
     tp = TiePair(params.s, params.t, args.r)
     reg = homology_regularity(tp)

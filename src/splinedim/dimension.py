@@ -9,11 +9,11 @@ they ever disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from . import triangulation as tg
 from .exact import binom
-from .power_ideal import TiePair, homology_dim, homology_regularity
+from .power_ideal import TiePair, degree_thresholds, homology_dim, homology_regularity
 
 
 class DimensionError(Exception):
@@ -32,33 +32,6 @@ class UnsupportedTopology(DimensionError):
     """Mesh is neither quasi-cross-cut nor single-totally-interior-edge."""
 
 
-@dataclass(frozen=True)
-class VertexStarData:
-    """Division data at an interior vertex with a given slope count.
-
-    With n distinct slopes, write n*(r+1) = alpha*(n-1) + nu with
-    0 <= nu < n - 1 and set mu = n - 1 - nu; the pair (mu, nu) weights two
-    binomial terms in the lower bound.
-    """
-
-    slope_count: int
-    alpha: int
-    nu: int
-    mu: int
-
-    @classmethod
-    def from_counts(cls, slope_count: int, r: int) -> "VertexStarData":
-        if slope_count < 2:
-            raise ValueError("an interior vertex carries at least 2 slopes")
-        if r < 0:
-            raise ValueError("smoothness order must be nonnegative")
-        alpha, nu = divmod(slope_count * (r + 1), slope_count - 1)
-        return cls(slope_count, alpha, nu, slope_count - 1 - nu)
-
-    def term(self, d: int) -> int:
-        return self.mu * binom(d + 2 - self.alpha, 2) + self.nu * binom(d + 1 - self.alpha, 2)
-
-
 def _check_dr(d: int, r: int) -> None:
     if not isinstance(d, int) or not isinstance(r, int):
         raise ValueError("d and r must be integers")
@@ -66,17 +39,31 @@ def _check_dr(d: int, r: int) -> None:
         raise ValueError("d and r must be nonnegative")
 
 
-def schumaker_lower_bound(tri: tg.Triangulation, d: int, r: int) -> int:
-    """Classical lower bound for dim C^r_d over any triangulation.
+def _lower_bound(n_interior_edges: int, slope_counts: Iterable[int], d: int, r: int) -> int:
+    """Schumaker's lower bound from the interior edge count and the slope
+    count at each interior vertex.
 
-    Counts the base polynomials, one binomial per interior edge, and a
-    division-data correction at each interior vertex.
+    Counts the base polynomials, one binomial per interior edge, and the
+    division data of each interior vertex: with n distinct slopes, write
+    n*(r+1) = alpha*(n-1) + nu with 0 <= nu < n - 1 and set mu = n - 1 - nu;
+    the pair (mu, nu) weights two binomial terms.
     """
     _check_dr(d, r)
-    stars = [VertexStarData.from_counts(tg.slope_count(tri, v), r) for v in tri.interior_vertices]
-    n_interior = len(tri.interior_edges())
-    coeff = n_interior - sum(st.slope_count for st in stars)
-    return binom(d + 2, 2) + coeff * binom(d + 1 - r, 2) + sum(st.term(d) for st in stars)
+    total = binom(d + 2, 2)
+    coeff = n_interior_edges
+    for n in slope_counts:
+        if n < 2:
+            raise ValueError("an interior vertex carries at least 2 slopes")
+        alpha, nu = divmod(n * (r + 1), n - 1)
+        total += (n - 1 - nu) * binom(d + 2 - alpha, 2) + nu * binom(d + 1 - alpha, 2)
+        coeff -= n
+    return total + coeff * binom(d + 1 - r, 2)
+
+
+def schumaker_lower_bound(tri: tg.Triangulation, d: int, r: int) -> int:
+    """Classical lower bound for dim C^r_d over any triangulation."""
+    return _lower_bound(len(tri.interior_edges()),
+                        [tg.slope_count(tri, v) for v in tri.interior_vertices], d, r)
 
 
 def schumaker_lower_bound_params(p: int, q: int, s: int, t: int, d: int, r: int) -> int:
@@ -85,20 +72,12 @@ def schumaker_lower_bound_params(p: int, q: int, s: int, t: int, d: int, r: int)
     The mesh has p + q + 1 interior edges and two interior vertices whose
     stars carry s + 1 and t + 1 slopes (the shared edge included).
     """
-    _check_dr(d, r)
-    star1 = VertexStarData.from_counts(s + 1, r)
-    star2 = VertexStarData.from_counts(t + 1, r)
-    coeff = (p + q + 1) - (s + 1) - (t + 1)
-    return binom(d + 2, 2) + coeff * binom(d + 1 - r, 2) + star1.term(d) + star2.term(d)
+    return _lower_bound(p + q + 1, (s + 1, t + 1), d, r)
 
 
 def schumaker_lower_bound_prime(p: int, q: int, s: int, t: int, d: int, r: int) -> int:
     """Lower bound for the companion mesh with the totally interior edge removed."""
-    _check_dr(d, r)
-    star1 = VertexStarData.from_counts(s, r)
-    star2 = VertexStarData.from_counts(t, r)
-    coeff = (p + q) - s - t
-    return binom(d + 2, 2) + coeff * binom(d + 1 - r, 2) + star1.term(d) + star2.term(d)
+    return _lower_bound(p + q, (s, t), d, r)
 
 
 @dataclass(frozen=True)
@@ -115,11 +94,51 @@ class DimReport:
             raise ValueError("total must equal lower_bound + correction")
 
 
-def _require_nontrivial(params: tg.OneTieParams, r: int) -> TiePair:
+class Classification(NamedTuple):
+    """How a mesh is treated at smoothness r, and why.
+
+    kind is "quasi-cross-cut" or "trivial-case" (the dimension is the lower
+    bound in every degree) or "one-tie" (the correction term is live);
+    params is None only for quasi-cross-cut meshes.
+    """
+
+    kind: str
+    reason: str
+    params: tg.OneTieParams | None
+
+
+def _trivial_reason(params: tg.OneTieParams, r: int) -> str | None:
+    """Why the correction vanishes in every degree, or None if it does not."""
     if params.trivial_slope_collision:
-        raise TrivialCase("shared-edge slope reappears at an endpoint; dim equals the lower bound")
+        return "shared-edge slope reappears at an endpoint"
     if params.trivial_many_slopes(r):
-        raise TrivialCase(f"endpoint carries {params.t + 1} >= r + 3 slopes; dim equals the lower bound")
+        return f"an endpoint carries at least r + 3 = {r + 3} slopes"
+    return None
+
+
+def classify(tri: tg.Triangulation, r: int) -> Classification:
+    """Decide which formula gives the dimension of C^r_d over the mesh.
+
+    Raises UnsupportedTopology unless the mesh is quasi-cross-cut or has a
+    single totally interior edge.
+    """
+    if tg.is_quasi_cross_cut(tri):
+        return Classification("quasi-cross-cut", "quasi-cross-cut mesh", None)
+    ties = tri.totally_interior_edges()
+    if len(ties) != 1:
+        raise UnsupportedTopology(
+            f"{len(ties)} totally interior edges and not quasi-cross-cut")
+    params = tg.extract_one_tie_params(tri)
+    reason = _trivial_reason(params, r)
+    if reason is not None:
+        return Classification("trivial-case", reason, params)
+    return Classification("one-tie", "one totally interior edge", params)
+
+
+def _require_nontrivial(params: tg.OneTieParams, r: int) -> TiePair:
+    reason = _trivial_reason(params, r)
+    if reason is not None:
+        raise TrivialCase(f"{reason}; dim equals the lower bound")
     return TiePair(params.s, params.t, r)
 
 
@@ -141,8 +160,7 @@ def f_explicit(s: int, t: int, d: int, r: int) -> int:
     if not 2 <= s <= t:
         raise ValueError("need 2 <= s <= t")
     _check_dr(d, r)
-    low = Fraction(t * r, s * (t - 1)) + r
-    high = Fraction(r + 1, s) + Fraction(r + 1, t) + r - 1
+    low, high = degree_thresholds(s, t, r)
     if not low < d <= high:
         raise OutOfBranch(f"d={d} outside ({low}, {high}]")
     # the branch is empty unless t >= 3, so the denominator below is positive
@@ -164,8 +182,7 @@ def dim_explicit(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     _require_nontrivial(params, r)
     p, q, s, t = params.p, params.q, params.s, params.t
     lower = schumaker_lower_bound_params(p, q, s, t, d, r)
-    low = Fraction(t * r, s * (t - 1)) + r
-    high = Fraction(r + 1, s) + Fraction(r + 1, t) + r - 1
+    low, high = degree_thresholds(s, t, r)
     if d <= low:
         total = schumaker_lower_bound_prime(p, q, s, t, d, r)
     elif d <= high:
@@ -209,15 +226,9 @@ def dim(tri: tg.Triangulation, d: int, r: int, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
 
     lower = schumaker_lower_bound(tri, d, r)
-    if tg.is_quasi_cross_cut(tri):
-        return DimReport(r, d, lower, 0, lower, "quasi-cross-cut")
-    ties = tri.totally_interior_edges()
-    if len(ties) != 1:
-        raise UnsupportedTopology(
-            f"{len(ties)} totally interior edges and not quasi-cross-cut")
-    params = tg.extract_one_tie_params(tri)
-    if params.trivial_slope_collision or params.trivial_many_slopes(r):
-        return DimReport(r, d, lower, 0, lower, "trivial-case")
+    kind, _, params = classify(tri, r)
+    if kind != "one-tie":
+        return DimReport(r, d, lower, 0, lower, kind)
     latt = dim_lattice(params, d, r)
     expl = dim_explicit(params, d, r)
     if latt.total != expl.total:

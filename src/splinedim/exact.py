@@ -5,9 +5,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
+from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -54,60 +52,6 @@ def binom(a: int, b: int) -> int:
     if b < 0 or a < b:
         return 0
     return math.comb(a, b)
-
-
-class RatMatrix:
-    """Immutable dense matrix of Fractions.
-
-    Entries may be ints or Fractions; floats raise since they carry no exact
-    meaning here.
-    """
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: Iterable[Iterable[RationalLike]], ncols: int | None = None):
-        converted = []
-        for row in rows:
-            out = []
-            for x in row:
-                if isinstance(x, float):
-                    raise ValueError("float matrix entries are not allowed")
-                out.append(x if isinstance(x, Fraction) else Fraction(x))
-            converted.append(tuple(out))
-        self.rows = tuple(converted)
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols disagrees with row width")
-            self.ncols = width
-        else:
-            self.ncols = ncols or 0
-        self.nrows = len(self.rows)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.rows), ncols=self.nrows) if self.rows else RatMatrix([], ncols=0)
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({self.nrows}x{self.ncols})"
-
-
-def _sparse_int_rows(m: RatMatrix | Sequence[Sequence[RationalLike]]) -> tuple[list[dict[int, int]], int]:
-    """Clear denominators row by row; rank is invariant under row scaling."""
-    if not isinstance(m, RatMatrix):
-        m = RatMatrix(m)
-    rows = []
-    for row in m.rows:
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        entries = {}
-        for j, x in enumerate(row):
-            if x:
-                v = x.numerator * (scale // x.denominator)
-                entries[j] = v
-        if entries:
-            rows.append(entries)
-    return rows, m.ncols
 
 
 def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
@@ -186,16 +130,4 @@ def kernel_dim_sparse(rows: Sequence[dict[int, int]], ncols: int) -> int:
     """Nullity of the system given by sparse integer rows over ncols unknowns."""
     if ncols < 0:
         raise ValueError("negative column count")
-    return ncols - rank_sparse(rows)
-
-
-def rank(m: RatMatrix | Sequence[Sequence[RationalLike]]) -> int:
-    """Rank of a dense rational matrix, computed exactly."""
-    rows, _ = _sparse_int_rows(m)
-    return rank_sparse(rows)
-
-
-def kernel_dim(m: RatMatrix | Sequence[Sequence[RationalLike]]) -> int:
-    """Dimension of the right kernel: columns minus rank."""
-    rows, ncols = _sparse_int_rows(m)
     return ncols - rank_sparse(rows)

@@ -214,18 +214,10 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     mono_big = _monomials_exact(nvars, d + e)
     midx = {m: k for k, m in enumerate(mono_big)}
     ideal_rows = _multiple_rows(generators, d + e, midx, nvars)
-    zpow = _poly_pow(_int_linear_form(form), e)
-    zrows = []
-    for mono in _monomials_exact(nvars, d):
-        row = {}
-        for pm, pc in zpow.items():
-            key = tuple(a + b for a, b in zip(mono, pm))
-            row[midx[key]] = pc
-        zrows.append(row)
+    zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
     r_ideal = rank_sparse(ideal_rows)
     r_both = rank_sparse(ideal_rows + zrows)
-    n_d = len(_monomials_exact(nvars, d))
-    return n_d - (r_both - r_ideal)
+    return len(zrows) - (r_both - r_ideal)
 
 
 def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple[Sequence, int]],
@@ -245,14 +237,7 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     n_big = len(mono_big)
     a1 = _multiple_rows(gens1, d + e, midx, nvars)
     a2 = _multiple_rows(gens2, d + e, midx, nvars)
-    zpow = _poly_pow(_int_linear_form(form), e)
-    zrows = []
-    for mono in _monomials_exact(nvars, d):
-        row = {}
-        for pm, pc in zpow.items():
-            key = tuple(a + b for a, b in zip(mono, pm))
-            row[midx[key]] = pc
-        zrows.append(row)
+    zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
     n_d = len(zrows)
     r1 = rank_sparse(a1)
     r2 = rank_sparse(a2)

@@ -110,23 +110,6 @@ def homology_dim(tp: TiePair, d: int) -> int:
     return count
 
 
-def homology_dim_planar(tp: TiePair, d: int) -> int:
-    """Equivalent planar count: eliminate C = d - (r+1) - A - B from the slice.
-
-    Kept as an independent route for property testing against homology_dim.
-    """
-    s, t, r = tp.s, tp.t, tp.r
-    level = d - (r + 1)
-    if level < 0:
-        return 0
-    count = 0
-    for aa in range(level + 1):
-        for bb in range(level - aa + 1):
-            if aa - bb * (s - 1) <= s * r - d * (s - 1) and bb - aa * (t - 1) <= t * r - d * (t - 1):
-                count += 1
-    return count
-
-
 def homology_regularity(tp: TiePair) -> int:
     """Largest degree with a nonzero lattice count, in closed form."""
     s, t, r = tp.s, tp.t, tp.r
@@ -136,6 +119,17 @@ def homology_regularity(tp: TiePair) -> int:
     return base - 1
 
 
+def degree_thresholds(s: int, t: int, r: int) -> tuple[Fraction, Fraction]:
+    """The two degrees that split the closed form into three branches.
+
+    Up to low = t*r / (s*(t-1)) + r the dimension is the companion mesh's
+    lower bound; past high = (r+1)/s + (r+1)/t + r - 1 it is the plain lower
+    bound; in between a finite sum adds to the plain bound.
+    """
+    return (Fraction(t * r, s * (t - 1)) + r,
+            Fraction(r + 1, s) + Fraction(r + 1, t) + r - 1)
+
+
 def supersmoothness_threshold(tp: TiePair) -> Fraction:
     """Degree bound t*r / (s*(t-1)) + r under which extra smoothness is forced.
 
@@ -143,7 +137,7 @@ def supersmoothness_threshold(tp: TiePair) -> Fraction:
     mesh with the shared edge removed, so smoothness across the edge upgrades
     for free.
     """
-    return Fraction(tp.t * tp.r, tp.s * (tp.t - 1)) + tp.r
+    return degree_thresholds(tp.s, tp.t, tp.r)[0]
 
 
 def intersection_initdeg(tp: TiePair) -> int:

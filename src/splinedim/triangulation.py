@@ -124,12 +124,6 @@ class Edge:
         return "interior" if len(self.triangles) == 2 else "boundary"
 
     @property
-    def classification(self) -> str:
-        if self.totally_interior:
-            return "totally-interior"
-        return self.kind
-
-    @property
     def key(self) -> tuple[int, int]:
         return (self.u, self.v)
 
@@ -163,9 +157,6 @@ class OneTieParams:
         """Slope count at an endpoint at or above r + 2 forces the lower bound."""
         return self.t + 1 >= r + 3
 
-    def nontrivial(self, r: int) -> bool:
-        return not self.trivial_slope_collision and not self.trivial_many_slopes(r)
-
 
 @dataclass(frozen=True, eq=False)
 class Triangulation:
@@ -176,13 +167,6 @@ class Triangulation:
     edges: tuple[Edge, ...]
     vertex_kind: tuple[str, ...]
     edges_at: tuple[tuple[int, ...], ...]
-
-    def edge_index(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        for idx, e in enumerate(self.edges):
-            if e.key == key:
-                return idx
-        raise KeyError(f"no edge {key}")
 
     @property
     def interior_vertices(self) -> tuple[int, ...]:
@@ -400,14 +384,8 @@ def is_quasi_cross_cut(tri: Triangulation, exclude_edges: Iterable[int] = ()) ->
     return all(touches.values())
 
 
-def extract_one_tie_params(tri: Triangulation, r: int | None = None) -> OneTieParams:
-    """Read off the local parameters of the unique totally interior edge.
-
-    r is accepted for call sites that have a smoothness order in hand; it only
-    gets validated, since every field of the result is degree-independent.
-    """
-    if r is not None and r < 0:
-        raise ValueError("r must be nonnegative")
+def extract_one_tie_params(tri: Triangulation) -> OneTieParams:
+    """Read off the local parameters of the unique totally interior edge."""
     ties = [(i, e) for i, e in enumerate(tri.edges) if e.totally_interior]
     if not ties:
         raise NoTotallyInteriorEdge("mesh has no totally interior edge")

@@ -47,6 +47,32 @@ def two_tie_strip():
     return tg.build(verts, tris)
 
 
+def slope_collision_star():
+    """One totally interior edge v1-v2 whose slope reappears at v1 (edge v1-L).
+
+    The chain L-v1-v2 reaches the boundary at L and every other interior edge
+    has a boundary endpoint, so the mesh is quasi-cross-cut.
+    """
+    v1, v2, L, A, B, C, R, D, E, F = range(10)
+    verts = [(0, 0), (2, 0), (-2, 0), (-1, 2), (1, 3), (3, 2), (4, 1), (3, -2), (1, -3), (-1, -2)]
+    tris = [(v1, L, A), (v1, A, B), (v1, B, v2), (v1, v2, E), (v1, E, F), (v1, F, L),
+            (v2, B, C), (v2, C, R), (v2, R, D), (v2, D, E)]
+    return tg.build(verts, tris)
+
+
+def glue_quad(tri, a, b):
+    """Glue the quadrilateral a, b, (4, -2), (4, 2) onto the boundary edge (a, b),
+    fanned around its own interior vertex (3, 0) whose four edges have four slopes.
+
+    The edge must face the half-plane x >= 2 with the mesh in x <= 2.
+    """
+    n = len(tri.vertices)
+    c, e, m = n, n + 1, n + 2
+    verts = list(tri.vertices) + [(4, -2), (4, 2), (3, 0)]
+    tris = list(tri.triangles) + [(a, b, m), (b, c, m), (c, e, m), (e, a, m)]
+    return tg.build(verts, tris)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # replay the acceptance verdict lines where fd capture cannot eat them
     try:

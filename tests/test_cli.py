@@ -154,6 +154,18 @@ def test_regularity_quasi_cross_cut(tmp_path, capsys):
     assert out.strip() == "trivial case: quasi-cross-cut mesh, dim = L for all d"
 
 
+def test_slope_collision_mesh(tmp_path, capsys):
+    path = tmp_path / "collision.mesh"
+    path.write_text(tg.dump_mesh(conftest.slope_collision_star()))
+    code, out, _ = run(capsys, "regularity", str(path), "--r", "4")
+    assert code == 0
+    assert out.strip() == "trivial case: quasi-cross-cut mesh, dim = L for all d"
+    code, out, err = run(capsys, "dim", str(path), "--r", "4", "--d", "10",
+                         "--method", "lattice")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_regularity_two_ties_rejected(tmp_path, capsys):
     path = tmp_path / "strip.mesh"
     path.write_text(tg.dump_mesh(conftest.two_tie_strip()))
@@ -167,6 +179,13 @@ def test_regularity_two_ties_rejected(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.mesh")
     assert code == 2 and err.startswith("error:")
+
+
+def test_missing_path_does_not_fall_back_to_bundled(capsys):
+    # only a bare name, with no directory part, names a bundled mesh
+    code, out, err = run(capsys, "validate", "/no/such/dir/figure2.mesh")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):

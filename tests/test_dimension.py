@@ -70,11 +70,13 @@ def test_figure2_prime_low_degree():
 
 
 def test_vertex_star_data():
-    star = dm.VertexStarData.from_counts(4, 6)
-    # 4*7 = 28 = alpha*3 + nu with 0 <= nu < 3: alpha = 9, nu = 1, mu = 2
-    assert (star.alpha, star.nu, star.mu) == (9, 1, 2)
+    # a star of 4 edges on 4 slopes at r = 6: 4*7 = 28 = alpha*3 + nu with
+    # 0 <= nu < 3 gives alpha = 9, nu = 1, mu = 2, and the edge terms cancel
+    for d in range(0, 20):
+        assert dm._lower_bound(4, [4], d, 6) == \
+            binom(d + 2, 2) + 2 * binom(d + 2 - 9, 2) + 1 * binom(d + 1 - 9, 2)
     with pytest.raises(ValueError):
-        dm.VertexStarData.from_counts(1, 3)
+        dm._lower_bound(3, [1], 5, 3)
 
 
 def test_check_dr_rejects_negative(fig2):

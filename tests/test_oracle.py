@@ -222,3 +222,35 @@ def test_spline_oracle_two_tie_strip():
     lower = dm.schumaker_lower_bound(tri, 3, 1)
     got = orc.dim_spline_oracle(tri, 3, 1)
     assert got >= lower
+
+
+def test_spline_oracle_slope_collision_star():
+    # a shared-edge slope collision makes the mesh quasi-cross-cut, so auto
+    # answers with the lower bound while the one-tie routes refuse
+    tri = conftest.slope_collision_star()
+    for d, r in ((3, 1), (5, 1), (6, 2), (8, 3), (10, 4)):
+        rep = dm.dim(tri, d, r)
+        assert rep.method == "quasi-cross-cut"
+        assert rep.total == orc.dim_spline_oracle(tri, d, r)
+    for method in ("lattice", "explicit"):
+        with pytest.raises(dm.TrivialCase):
+            dm.dim(tri, 10, 4, method=method)
+
+
+@pytest.mark.parametrize("name, edge", [("figure2", (2, 10)), ("tohaneanu", (3, 4))])
+def test_spline_oracle_third_interior_vertex(name, edge):
+    # the one-tie routes rebase their correction on the mesh-level bound,
+    # which here counts an interior vertex away from the shared edge
+    tri = conftest.glue_quad(tg.load_bundled(name), *edge)
+    assert len(tri.interior_vertices) == 3
+    for r in range(1, 4):
+        for d in range(0, 3 * r + 3):
+            total = orc.dim_spline_oracle(tri, d, r)
+            rep = dm.dim(tri, d, r)
+            assert rep.total == total, (d, r)
+            for method in ("lattice", "explicit"):
+                if rep.method == "trivial-case":
+                    with pytest.raises(dm.TrivialCase):
+                        dm.dim(tri, d, r, method=method)
+                else:
+                    assert dm.dim(tri, d, r, method=method).total == total, (d, r, method)

@@ -17,7 +17,6 @@ from splinedim.power_ideal import (
     hilbert_colon,
     hilbert_power_ideal,
     homology_dim,
-    homology_dim_planar,
     homology_regularity,
     in_membership,
     intersection_initdeg,
@@ -236,6 +235,20 @@ def test_homology_dim_zero_below_r_plus_one(r, data):
     t = data.draw(st.integers(s, r + 1))
     d = data.draw(st.integers(0, r))
     assert homology_dim(TiePair(s, t, r), d) == 0
+
+
+def homology_dim_planar(tp, d):
+    """The lattice count with C = d - (r+1) - A - B eliminated, as a referee."""
+    s, t, r = tp.s, tp.t, tp.r
+    level = d - (r + 1)
+    if level < 0:
+        return 0
+    count = 0
+    for aa in range(level + 1):
+        for bb in range(level - aa + 1):
+            if aa - bb * (s - 1) <= s * r - d * (s - 1) and bb - aa * (t - 1) <= t * r - d * (t - 1):
+                count += 1
+    return count
 
 
 @settings(max_examples=60)

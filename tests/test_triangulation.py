@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from splinedim import dimension as dm
 from splinedim import triangulation as tg
 
 import conftest
@@ -41,7 +42,7 @@ def test_euler_formula_on_examples(fig2, toh):
 def test_edge_classification(fig2):
     tie = fig2.totally_interior_edges()[0]
     assert tie.kind == "interior"
-    assert tie.classification == "totally-interior"
+    assert tie.totally_interior
     assert tie.key == (0, 1)
     some_boundary = fig2.boundary_edges()[0]
     assert some_boundary.kind == "boundary"
@@ -87,7 +88,7 @@ def test_quasi_cross_cut_after_removing_tie(fig2, toh):
     # which is what makes the companion lower bound exact
     for tri in (fig2, toh):
         tie = tri.totally_interior_edges()[0]
-        idx = tri.edge_index(*tie.key)
+        idx = tri.edges.index(tie)
         assert tg.is_quasi_cross_cut(tri, exclude_edges=(idx,))
 
 
@@ -100,9 +101,9 @@ def test_figure2_params(fig2):
     assert not p.trivial_slope_collision
     assert p.trivial_many_slopes(2)
     assert not p.trivial_many_slopes(3)
-    assert not p.nontrivial(2)
-    assert p.nontrivial(3)
-    assert p.nontrivial(6)
+    assert dm._trivial_reason(p, 2) is not None
+    assert dm._trivial_reason(p, 3) is None
+    assert dm._trivial_reason(p, 6) is None
 
 
 def test_tohaneanu_params(toh):
@@ -112,14 +113,7 @@ def test_tohaneanu_params(toh):
     # t + 1 = 3 >= r + 3 only for r = 0
     assert p.trivial_many_slopes(0)
     assert not p.trivial_many_slopes(1)
-    assert p.nontrivial(1)
-
-
-def test_extract_params_accepts_r(fig2):
-    p = tg.extract_one_tie_params(fig2, 6)
-    assert (p.s, p.t) == (3, 4)
-    with pytest.raises(ValueError):
-        tg.extract_one_tie_params(fig2, -1)
+    assert dm._trivial_reason(p, 1) is None
 
 
 def test_extract_params_requires_unique_tie():
