@@ -14,7 +14,7 @@ from pathlib import Path
 from . import dimension, oracle
 from . import triangulation as tg
 from .exact import format_rational
-from .power_ideal import TiePair, homology_regularity, supersmoothness_threshold
+from .power_ideal import TiePair, congruence_case, homology_regularity, supersmoothness_threshold
 
 
 def _load(path: str) -> tg.Triangulation:
@@ -94,12 +94,11 @@ def cmd_regularity(args: argparse.Namespace) -> int:
         return 0
     tp = TiePair(params.s, params.t, args.r)
     reg = homology_regularity(tp)
-    congruent = (args.r + 1) % tp.s == tp.s - 1 and (args.r + 1) % tp.t == tp.t - 1
     print(f"s={tp.s} t={tp.t} r={tp.r}")
     print(f"stabilization degree: {reg + 1}")
     print(f"homology regularity: {reg}")
     print(f"supersmoothness threshold: {format_rational(supersmoothness_threshold(tp))}")
-    print(f"congruence case: {'yes' if congruent else 'no'}")
+    print(f"congruence case: {'yes' if congruence_case(tp) else 'no'}")
     return 0
 
 

@@ -41,7 +41,7 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 def format_rational(value: RationalLike) -> str:
     """Render as "num" or "num/den", never as a decimal."""
-    q = parse_rational(value) if isinstance(value, str) else Fraction(value)
+    q = parse_rational(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from . import triangulation as tg
@@ -32,15 +32,6 @@ class DegenerateSlopes(OracleError):
 MAX_COLUMNS = 5000
 
 
-def _monomials_upto(d: int) -> list[tuple[int, int]]:
-    """Bivariate exponent pairs of total degree at most d, graded lex."""
-    out = []
-    for tot in range(d + 1):
-        for i in range(tot, -1, -1):
-            out.append((i, tot - i))
-    return out
-
-
 def _monomials_exact(nvars: int, d: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total degree exactly d, in a fixed order."""
     out = []
@@ -53,71 +44,32 @@ def _monomials_exact(nvars: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _poly_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(m1, m2))
-            val = out.get(key, 0) + c1 * c2
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _poly_pow(f: dict, n: int) -> dict:
-    if n == 0:
-        zero = (0,) * len(next(iter(f)))
-        return {zero: 1}
-    out = dict(f)
-    for _ in range(n - 1):
-        out = _poly_mul(out, f)
-    return out
-
-
-def _int_linear_form(coeffs: Sequence) -> dict:
-    """Linear form from a coefficient vector, scaled to primitive integers."""
+def _int_linear_form(coeffs: Sequence) -> tuple[int, ...]:
+    """Coefficient vector scaled to primitive integers, sign kept."""
     vals = [parse_rational(c) for c in coeffs]
     if all(v == 0 for v in vals):
         raise ValueError("zero linear form")
     scale = lcm(*(v.denominator for v in vals))
     ints = [v.numerator * (scale // v.denominator) for v in vals]
-    g = 0
-    for w in ints:
-        g = gcd(g, w)
-    ints = [w // g for w in ints]
-    n = len(ints)
-    form = {}
-    for i, w in enumerate(ints):
-        if w:
-            expo = tuple(1 if j == i else 0 for j in range(n))
-            form[expo] = w
-    return form
+    g = gcd(*ints)
+    return tuple(w // g for w in ints)
 
 
-def _edge_form(tri: tg.Triangulation, edge: tg.Edge) -> dict:
-    """Primitive integer affine form vanishing on the edge's line.
+def _power(form: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
+    """The n-th power of a linear form by the multinomial theorem.
 
-    Keys are (i, j) exponent pairs for x^i y^j with i + j <= 1.
+    Keys are exponent tuples of total degree n, values their integer
+    coefficients; monomials with a zero coefficient are left out.
     """
-    p = tri.vertices[edge.u]
-    q = tri.vertices[edge.v]
-    a = q.y - p.y
-    b = p.x - q.x
-    c = -(a * p.x + b * p.y)
-    scale = lcm(a.denominator, b.denominator, c.denominator)
-    ia, ib, ic = (v.numerator * (scale // v.denominator) for v in (a, b, c))
-    g = gcd(gcd(ia, ib), ic)
-    ia, ib, ic = ia // g, ib // g, ic // g
-    form = {}
-    if ia:
-        form[(1, 0)] = ia
-    if ib:
-        form[(0, 1)] = ib
-    if ic:
-        form[(0, 0)] = ic
-    return form
+    out = {}
+    for expo in _monomials_exact(len(form), n):
+        coef, rest = 1, n
+        for w, e in zip(form, expo):
+            coef *= comb(rest, e) * w ** e
+            rest -= e
+        if coef:
+            out[expo] = coef
+    return out
 
 
 def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool = False) -> int:
@@ -128,16 +80,17 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     difference of the two adjacent polynomials must equal the edge form to
     the power r + 1 times the multiplier.  Multipliers are determined by the
     spline, so the kernel dimension equals the spline space dimension.
+    Polynomials are homogenized as forms in (z, x, y), so a polynomial of
+    degree <= d is a form of degree exactly d.
     """
     if d < 0 or r < 0:
         raise ValueError("d and r must be nonnegative")
     interior = tri.interior_edges()
     n_tri = len(tri.triangles)
-    mono = _monomials_upto(d)
+    mono = _monomials_exact(3, d)
     n_poly = len(mono)
     midx = {m: k for k, m in enumerate(mono)}
-    hdeg = d - r - 1
-    mono_h = _monomials_upto(hdeg) if hdeg >= 0 else []
+    mono_h = _monomials_exact(3, d - r - 1) if d > r else []
     n_mult = len(mono_h)
     ncols = n_tri * n_poly + len(interior) * n_mult
     if ncols > MAX_COLUMNS and not allow_large:
@@ -146,18 +99,20 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     rows: list[dict[int, int]] = []
     for k_e, edge in enumerate(interior):
         t1, t2 = edge.triangles
-        power = _poly_pow(_edge_form(tri, edge), r + 1)
         base1 = t1 * n_poly
         base2 = t2 * n_poly
         baseh = n_tri * n_poly + k_e * n_mult
-        eqs: list[dict[int, int]] = [{} for _ in range(n_poly)]
-        for k in range(n_poly):
-            eqs[k][base1 + k] = 1
-            eqs[k][base2 + k] = -1
-        for hk, hm in enumerate(mono_h):
-            for pm, pc in power.items():
-                key = (hm[0] + pm[0], hm[1] + pm[1])
-                eqs[midx[key]][baseh + hk] = -pc
+        eqs: list[dict[int, int]] = [{base1 + k: 1, base2 + k: -1} for k in range(n_poly)]
+        if mono_h:
+            p = tri.vertices[edge.u]
+            q = tri.vertices[edge.v]
+            a = q.y - p.y
+            b = p.x - q.x
+            # the edge's line a*x + b*y + c = 0, homogenized with z first
+            power = _power(_int_linear_form((-(a * p.x + b * p.y), a, b)), r + 1)
+            for hk, hm in enumerate(mono_h):
+                for pm, pc in power.items():
+                    eqs[midx[hm[0] + pm[0], hm[1] + pm[1], hm[2] + pm[2]]][baseh + hk] = -pc
         rows.extend(eqs)
     return kernel_dim_sparse(rows, ncols)
 
@@ -171,9 +126,10 @@ def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,
             raise ValueError("generator arity mismatch")
         if power < 0:
             raise ValueError("negative generator exponent")
+        form = _int_linear_form(coeffs)
         if power > d:
             continue
-        gen = _poly_pow(_int_linear_form(coeffs), power)
+        gen = _power(form, power)
         for mono in _monomials_exact(nvars, d - power):
             row = {}
             for pm, pc in gen.items():

@@ -110,13 +110,16 @@ def homology_dim(tp: TiePair, d: int) -> int:
     return count
 
 
+def congruence_case(tp: TiePair) -> bool:
+    """Whether r + 1 is one short of a multiple of both s and t."""
+    return (tp.r + 1) % tp.s == tp.s - 1 and (tp.r + 1) % tp.t == tp.t - 1
+
+
 def homology_regularity(tp: TiePair) -> int:
     """Largest degree with a nonzero lattice count, in closed form."""
     s, t, r = tp.s, tp.t, tp.r
     base = (r + 1) // s + (r + 1) // t + r
-    if (r + 1) % s == s - 1 and (r + 1) % t == t - 1:
-        return base
-    return base - 1
+    return base if congruence_case(tp) else base - 1
 
 
 def degree_thresholds(s: int, t: int, r: int) -> tuple[Fraction, Fraction]:

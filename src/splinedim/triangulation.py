@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import format_rational, parse_rational
 
@@ -345,17 +345,14 @@ def slope_count(tri: Triangulation, vertex: int) -> int:
     return len({tri.edges[e].slope for e in tri.edges_at[vertex]})
 
 
-def is_quasi_cross_cut(tri: Triangulation, exclude_edges: Iterable[int] = ()) -> bool:
+def is_quasi_cross_cut(tri: Triangulation) -> bool:
     """Whether every interior edge extends along collinear mesh edges to the boundary.
 
     Edges of equal slope sharing a vertex are collinear, so each interior edge
     sits in a maximal straight chain; the mesh is quasi-cross-cut when every
-    such chain touches a boundary vertex.  exclude_edges (by index) are left
-    out of the mesh for this test, which is how the companion mesh with the
-    totally interior edge removed is examined without rebuilding.
+    such chain touches a boundary vertex.
     """
-    excluded = set(exclude_edges)
-    idxs = [i for i, e in enumerate(tri.edges) if e.kind == "interior" and i not in excluded]
+    idxs = [i for i, e in enumerate(tri.edges) if e.kind == "interior"]
     parent = {i: i for i in idxs}
 
     def find(i: int) -> int:

@@ -92,6 +92,12 @@ def test_format_integer_has_no_slash():
     assert format_rational(Fraction(5, 3)) == "5/3"
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False, None, "0.5"])
+def test_format_rational_rejects(bad):
+    with pytest.raises(ValueError):
+        format_rational(bad)
+
+
 def test_kernel_dim_known_matrices():
     ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert kernel_dim(ident) == 0

@@ -4,6 +4,8 @@ Every function here recomputes a dimension by exact linear algebra on a
 monomial basis, with no shared code path to the formulas being checked.
 """
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +107,26 @@ def test_hilbert_ideal_oracle_principal():
 
 def test_hilbert_ideal_oracle_empty():
     assert orc.hilbert_ideal_oracle([], 5) == 0
+
+
+@pytest.mark.parametrize("power", [2, 5])
+def test_hilbert_ideal_oracle_rejects_zero_form(power):
+    # the form is checked even when its power exceeds the degree
+    with pytest.raises(ValueError, match="zero linear form"):
+        orc.hilbert_ideal_oracle([((0, 0), power)], 3)
+
+
+@pytest.mark.parametrize("form", [(1,), (3, -2), (0, 5), (2, 0), (1, -1, 2), (0, 3, 0),
+                                  (-2, 0, 7), (4, 5, -6)])
+def test_power_expands_form(form):
+    points = [(1, 1, 1), (2, -1, 3), (-3, 4, 0), (5, 2, -7)]
+    for n in range(10):
+        power = orc._power(form, n)
+        assert all(sum(m) == n and c for m, c in power.items())
+        for x in points:
+            x = x[:len(form)]
+            value = sum(c * prod(xi ** ei for xi, ei in zip(x, m)) for m, c in power.items())
+            assert value == sum(w * xi for w, xi in zip(form, x)) ** n
 
 
 @settings(max_examples=50, deadline=None)
