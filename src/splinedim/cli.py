@@ -8,6 +8,7 @@ errors, 3 oracle verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -102,7 +103,9 @@ def cmd_regularity(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="splinedim",
         description="Exact dimensions of smooth spline spaces over planar triangulations.")

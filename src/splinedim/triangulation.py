@@ -5,6 +5,15 @@ no degenerate or overlapping triangles, no hanging vertices, edges meet
 only at shared endpoints, and the boundary is a single simple cycle.
 Construction goes through build(), which checks all of that and freezes
 the result.
+
+build() validates with a local certificate instead of comparing every
+pair of edges: positive orientation of each triangle, the two triangles
+of each interior edge on opposite sides of it, one fan winding once
+around each interior vertex, and a boundary that is one simple cycle,
+found by sweeping the boundary segments by x.  All predicates run on
+integers, after scaling the vertices by the lcm of their denominators.
+build()'s docstring gives the check order and the MeshError each check
+raises.
 """
 
 from __future__ import annotations
@@ -83,32 +92,34 @@ class Slope(NamedTuple):
     dy: int
 
 
+def _primitive(dx: int, dy: int) -> Slope:
+    """Slope of the nonzero integer direction (dx, dy)."""
+    g = math.gcd(dx, dy)
+    dx //= g
+    dy //= g
+    if dx < 0 or (dx == 0 and dy < 0):
+        dx, dy = -dx, -dy
+    return Slope(dx, dy)
+
+
 def slope_of(p: Point2, q: Point2) -> Slope:
     dx = q.x - p.x
     dy = q.y - p.y
     if dx == 0 and dy == 0:
         raise ValueError("zero-length segment has no slope")
     scale = math.lcm(dx.denominator, dy.denominator)
-    a = dx.numerator * (scale // dx.denominator)
-    b = dy.numerator * (scale // dy.denominator)
-    g = math.gcd(a, b)
-    a //= g
-    b //= g
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
-    return Slope(a, b)
+    return _primitive(dx.numerator * (scale // dx.denominator),
+                      dy.numerator * (scale // dy.denominator))
 
 
-def _orient(a: Point2, b: Point2, c: Point2) -> Fraction:
-    """Twice the signed area of (a, b, c); sign gives the turn direction."""
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+def _orient(a: Sequence, b: Sequence, c: Sequence) -> int | Fraction:
+    """Twice the signed area of (a, b, c); sign gives the turn direction.
 
-
-def _strictly_between(a: Point2, b: Point2, w: Point2) -> bool:
-    """For w collinear with segment ab: strictly inside it?"""
-    dot = (w.x - a.x) * (b.x - a.x) + (w.y - a.y) * (b.y - a.y)
-    length2 = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-    return 0 < dot < length2
+    Points are coordinate pairs: lattice int pairs inside build(), any
+    Point2 elsewhere.
+    """
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 @dataclass(frozen=True)
@@ -186,13 +197,94 @@ class Triangulation:
         return tuple(e for e in self.edges if e.totally_interior)
 
 
+def _check_simple_boundary(lat: list[tuple[int, int]], keys: list[tuple[int, int]]) -> None:
+    """Sweep the boundary segments by x, comparing each with those still active.
+
+    A segment endpoint strictly inside another segment raises HangingVertex,
+    a proper crossing raises EdgeCrossing.  Segments that share an endpoint
+    pass; the pinch check sees them.  Segments are ordered by their
+    lexicographically smaller endpoint, and one stays active while its
+    larger endpoint lies beyond the current segment's smaller one: every
+    point of a later segment lies beyond that, so a segment that ends
+    before it can meet none of them.  Cost is O(B log B) plus one test
+    per pair of segments whose spans in that order overlap.
+    """
+    segs = sorted((lat[u], lat[v], u, v) if lat[u] < lat[v] else (lat[v], lat[u], v, u)
+                  for u, v in keys)
+    active: list[tuple[tuple[int, int], tuple[int, int], int, int]] = []
+    for a, b, i, j in segs:
+        active = [seg for seg in active if seg[1] > a]
+        lo, hi = min(a[1], b[1]), max(a[1], b[1])
+        for c, d, k, m in active:
+            if max(c[1], d[1]) < lo or hi < min(c[1], d[1]):
+                continue
+            o1, o2 = _orient(a, b, c), _orient(a, b, d)
+            o3, o4 = _orient(c, d, a), _orient(c, d, b)
+            if o1 * o2 < 0 and o3 * o4 < 0:
+                raise EdgeCrossing(f"edges ({min(i, j)},{max(i, j)}) and "
+                                   f"({min(k, m)},{max(k, m)}) cross")
+            # on a line, lexicographic order of (x, y) is the order along it
+            for o, p, w, p0, p1, u, v in ((o1, c, k, a, b, i, j), (o2, d, m, a, b, i, j),
+                                          (o3, a, i, c, d, k, m), (o4, b, j, c, d, k, m)):
+                if o == 0 and p0 < p < p1:
+                    raise HangingVertex(f"vertex {w} lies inside edge ({min(u, v)},{max(u, v)})")
+        active.append((a, b, i, j))
+
+
+def _check_fans(lat: list[tuple[int, int]], tris: list[tuple[int, int, int]],
+                on_boundary: set[int]) -> None:
+    """The triangles around each vertex on no boundary edge wind once around it.
+
+    Every edge at such a vertex v borders two triangles on opposite sides,
+    so the wedges a -> b of the counterclockwise triangles (v, a, b) chain
+    into closed cycles, each winding a positive number of times.  A wedge
+    turns across the ray +x from v exactly when a_y <= v_y < b_y, so one
+    such wedge in all means one cycle winding once.
+    """
+    turns = [0] * len(lat)
+    for a, b, c in tris:
+        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
+            turns[v] += lat[x][1] <= lat[v][1] < lat[y][1]
+    for v, n in enumerate(turns):
+        if n != 1 and v not in on_boundary:
+            raise EdgeCrossing(f"the triangles at vertex {v} wind {n} times around it")
+
+
 def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> Triangulation:
     """Assemble and validate a triangulation from raw vertex and triangle data.
 
     Vertices are pairs of exact rationals (ints, Fractions, or "num/den"
     strings).  Triangles are index triples; orientation is normalized to
-    counterclockwise.  Raises a MeshError subclass describing the first
-    problem found.
+    counterclockwise.  Every predicate runs on the integer lattice that
+    scaling all vertices by the lcm of their denominators gives.
+
+    Raises a MeshError subclass describing the first problem found, with
+    the checks in this order:
+
+    1. DuplicateVertex: two vertices coincide.
+    2. DegenerateTriangle: a triangle repeats a vertex or has zero area.
+    3. NonManifoldEdge: a triangle repeats another, an edge borders more
+       than two triangles, or the two triangles of an interior edge lie
+       on the same side of it.
+    4. DisconnectedOrHoley: a vertex belongs to no triangle.
+    5. Fan winding, EdgeCrossing: the link of a vertex on no boundary edge
+       is not one cycle winding exactly once around it.
+    6. Simple boundary, swept by x over the edges with one triangle:
+       HangingVertex when a segment endpoint lies strictly inside another
+       segment, EdgeCrossing when two segments cross properly.
+    7. DisconnectedOrHoley: no boundary edges, a boundary vertex with
+       other than two boundary edges, or more than one boundary cycle.
+    8. DisconnectedOrHoley: the triangles are not edge-connected, or the
+       Euler characteristic is not 1.
+
+    Checks 1-4, 6 and 7 certify an embedded disk.  Every triangle is
+    positively oriented and the two triangles of each interior edge
+    cancel along it, so the number of triangles covering a point off the
+    edges is the winding number of the boundary cycle around it; the
+    boundary is one simple polygon, so that number is 1 inside and 0
+    outside.  The fan check is therefore implied once 6 and 7 pass; it
+    runs before them to name the vertex where a fan folds over itself.
+    The cost is O(V + T) besides sorting and sweeping the boundary.
     """
     pts: list[Point2] = []
     for i, raw in enumerate(vertices):
@@ -203,11 +295,15 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     if len(pts) < 3:
         raise ValueError("need at least 3 vertices")
 
-    seen_pts: dict[Point2, int] = {}
-    for i, p in enumerate(pts):
-        if p in seen_pts:
-            raise DuplicateVertex(f"vertices {seen_pts[p]} and {i} coincide at {p}")
-        seen_pts[p] = i
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    lat = [(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+           for p in pts]
+
+    seen_pts: dict[tuple[int, int], int] = {}
+    for i, p in enumerate(lat):
+        j = seen_pts.setdefault(p, i)
+        if j != i:
+            raise DuplicateVertex(f"vertices {j} and {i} coincide at {pts[i]}")
 
     tris: list[tuple[int, int, int]] = []
     seen_tris: set[frozenset[int]] = set()
@@ -219,7 +315,7 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
             raise ValueError(f"triangle {k} references a missing vertex")
         if len(set(tri)) != 3:
             raise DegenerateTriangle(f"triangle {k} repeats a vertex")
-        area2 = _orient(pts[tri[0]], pts[tri[1]], pts[tri[2]])
+        area2 = _orient(lat[tri[0]], lat[tri[1]], lat[tri[2]])
         if area2 == 0:
             raise DegenerateTriangle(f"triangle {k} has zero area")
         if area2 < 0:
@@ -243,8 +339,8 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
         if len(incid) > 2:
             raise NonManifoldEdge(f"edge ({u},{v}) borders {len(incid)} triangles")
         if len(incid) == 2:
-            s1 = _orient(pts[u], pts[v], pts[incid[0][1]])
-            s2 = _orient(pts[u], pts[v], pts[incid[1][1]])
+            s1 = _orient(lat[u], lat[v], lat[incid[0][1]])
+            s2 = _orient(lat[u], lat[v], lat[incid[1][1]])
             if (s1 > 0) == (s2 > 0):
                 raise NonManifoldEdge(f"triangles overlap across edge ({u},{v})")
 
@@ -253,26 +349,11 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
         if i not in used:
             raise DisconnectedOrHoley(f"vertex {i} belongs to no triangle")
 
-    for (u, v) in edge_map:
-        a, b = pts[u], pts[v]
-        for w in range(len(pts)):
-            if w in (u, v):
-                continue
-            if _orient(a, b, pts[w]) == 0 and _strictly_between(a, b, pts[w]):
-                raise HangingVertex(f"vertex {w} lies inside edge ({u},{v})")
-
-    keys = list(edge_map)
-    for i in range(len(keys)):
-        a, b = (pts[keys[i][0]], pts[keys[i][1]])
-        for j in range(i + 1, len(keys)):
-            c, d = (pts[keys[j][0]], pts[keys[j][1]])
-            o1, o2 = _orient(a, b, c), _orient(a, b, d)
-            o3, o4 = _orient(c, d, a), _orient(c, d, b)
-            if ((o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0
-                    and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0):
-                raise EdgeCrossing(f"edges {keys[i]} and {keys[j]} cross")
-
     boundary_keys = [k for k, incid in edge_map.items() if len(incid) == 1]
+    on_boundary = {v for k in boundary_keys for v in k}
+    _check_fans(lat, tris, on_boundary)
+    _check_simple_boundary(lat, boundary_keys)
+
     if not boundary_keys:
         raise DisconnectedOrHoley("no boundary edges")
     bnbrs: dict[int, list[int]] = {}
@@ -315,14 +396,14 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     if len(pts) - len(edge_map) + len(tris) != 1:
         raise DisconnectedOrHoley("Euler characteristic is not that of a disk")
 
-    on_boundary = {v for k in boundary_keys for v in k}
     kinds = tuple("boundary" if i in on_boundary else "interior" for i in range(len(pts)))
 
     edges = []
     for (u, v) in sorted(edge_map):
         incid = sorted(t for t, _ in edge_map[(u, v)])
         tot = len(incid) == 2 and kinds[u] == "interior" and kinds[v] == "interior"
-        edges.append(Edge(u, v, slope_of(pts[u], pts[v]), tuple(incid), tot))
+        slope = _primitive(lat[v][0] - lat[u][0], lat[v][1] - lat[u][1])
+        edges.append(Edge(u, v, slope, tuple(incid), tot))
 
     edges_at: list[list[int]] = [[] for _ in pts]
     for idx, e in enumerate(edges):

@@ -73,6 +73,39 @@ def glue_quad(tri, a, b):
     return tg.build(verts, tris)
 
 
+def grid_data(n, m):
+    """Vertices and triangles of the type-1 n x m grid: unit squares cut by their
+    rising diagonals, vertex (i, j) at index j * (n + 1) + i."""
+    verts = [(i, j) for j in range(m + 1) for i in range(n + 1)]
+    tris = []
+    for j in range(m):
+        for i in range(n):
+            a = j * (n + 1) + i
+            c = a + n + 1
+            tris += [(a, a + 1, c + 1), (a, c + 1, c)]
+    return verts, tris
+
+
+def _grid_plus(extra_verts, extra_tris, n=3, m=2):
+    verts, tris = grid_data(n, m)
+    return verts + extra_verts, tris + extra_tris
+
+
+# One mesh for each MeshError subclass that build() raises, with that subclass.
+INVALID_MESHES = {
+    "duplicate-vertex": ([(0, 0), (1, 0), (0, 1), ("0/1", 0)], [(0, 1, 2)], tg.DuplicateVertex),
+    "zero-area": ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], tg.DegenerateTriangle),
+    # a second triangle on the inner side of the bottom boundary edge (0, 1)
+    "fold": _grid_plus([("1/2", "1/3")], [(0, 1, 12)]) + (tg.NonManifoldEdge,),
+    "isolated-vertex": ([(0, 0), (1, 0), (0, 1), (5, 5)], [(0, 1, 2)], tg.DisconnectedOrHoley),
+    # a triangle below the bottom row whose long edge passes through (1, 0)
+    "hanging": _grid_plus([(1, -1)], [(0, 2, 12)]) + (tg.HangingVertex,),
+    # a triangle poking from inside cell (0, 0) across the left boundary
+    "crossing": _grid_plus([("1/3", "1/4"), (-1, "1/2"), (-1, "1/3")], [(12, 13, 14)])
+    + (tg.EdgeCrossing,),
+}
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # replay the acceptance verdict lines where fd capture cannot eat them
     try:

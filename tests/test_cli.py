@@ -212,6 +212,57 @@ def test_invalid_geometry_exit_1(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+# MeshError subclasses raised outside build(): by affine_transform,
+# slope_count and extract_one_tie_params
+_NOT_FROM_BUILD = {tg.SingularMap, tg.NotInteriorVertex, tg.NoTotallyInteriorEdge,
+                   tg.MultipleTotallyInteriorEdges}
+
+
+def test_invalid_meshes_cover_every_build_error():
+    covered = {cls for *_, cls in conftest.INVALID_MESHES.values()}
+    assert covered == set(tg.MeshError.__subclasses__()) - _NOT_FROM_BUILD
+
+
+@pytest.mark.parametrize("name", sorted(conftest.INVALID_MESHES))
+def test_every_build_error_exits_1(tmp_path, capsys, name):
+    verts, tris, cls = conftest.INVALID_MESHES[name]
+    text = json.dumps({"vertices": [list(v) for v in verts], "triangles": [list(t) for t in tris]})
+    with pytest.raises(cls):
+        tg.parse_mesh(text)
+    path = tmp_path / f"{name}.mesh"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data", [
+    {"vertices": [[0, 0], [1, 0], [0, 1]]},
+    {"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 3]]},
+    {"vertices": [[0, 0], [1, 0, 2], [0, 1]], "triangles": [[0, 1, 2]]},
+    {"vertices": [[0, 0], [1, 0], [0, "1/0"]], "triangles": [[0, 1, 2]]},
+    [[0, 0], [1, 0], [0, 1]],
+])
+def test_mesh_format_error_exits_2(tmp_path, capsys, data):
+    text = json.dumps(data)
+    with pytest.raises(tg.MeshFormatError):
+        tg.parse_mesh(text)
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_parser_built_once_and_still_rejects_bad_arguments(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dim", "figure2", "--r", "one", "--d", "2"])
+        assert exc.value.code == 2
+        assert run(capsys, "validate", "figure2")[0] == 0
+
+
 def test_oracle_guardrail_exit_1(capsys):
     code, _, err = run(capsys, "dim", "figure2", "--r", "1", "--d", "40",
                        "--method", "oracle")

@@ -1,0 +1,250 @@
+"""build()'s local certificate against the all-pairs referee, and build at scale.
+
+The referee (mesh_referee.referee_validate) is the Fraction validator with
+the quadratic crossing and hanging-vertex scans.  Both must accept the
+same meshes: generated valid ones (jittered rational grids, rational
+affine images, one-tie stars), hand-made broken ones, and random
+perturbations and triangle soups that are mostly broken.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from splinedim import triangulation as tg
+
+import conftest
+from mesh_referee import _orient as referee_orient, referee_validate
+
+
+def _verdict(check, verts, tris):
+    """None when check accepts the mesh, else the class of the error it raises."""
+    try:
+        check(verts, tris)
+    except (tg.MeshError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+def _assert_agree(verts, tris):
+    new = _verdict(tg.build, verts, tris)
+    ref = _verdict(referee_validate, verts, tris)
+    assert (new is None) == (ref is None), (new, ref, verts, tris)
+    return new
+
+
+# ------------------------------------------------------------ generators
+
+small = st.integers(1, 4)
+
+
+@st.composite
+def jittered_grids(draw):
+    """A type-1 grid with every vertex moved by at most 1/8 in each coordinate.
+
+    That keeps every triangle positive and the boundary simple.
+    """
+    verts, tris = conftest.grid_data(draw(small), draw(small))
+    den = draw(st.sampled_from([8, 16, 24, 40]))
+    jitter = st.integers(-den // 8, den // 8)
+    verts = [(x + F(draw(jitter), den), y + F(draw(jitter), den)) for x, y in verts]
+    return verts, tris
+
+
+@st.composite
+def one_tie_stars(draw):
+    """Two interior vertices (-1/2, 0) and (1/2, 0) joined by the one totally
+    interior edge, fanned to rational points on the unit circle.
+
+    The circle points always include (+-1, 0) and (0, +-1), so both interior
+    vertices lie strictly inside their convex hull; (0, 1) and (0, -1) are
+    the two apexes on the tie.
+    """
+    ts = draw(st.sets(st.fractions(F(-9, 10), F(9, 10), max_denominator=12), max_size=6))
+    circle = {(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))}
+    for t in ts:
+        x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        circle |= {(x, y), (-x, -y)}
+    # counterclockwise from (0, 1): left half, then right half
+    left = sorted((p for p in circle if p[0] < 0 or p == (0, 1)), key=lambda p: -p[1])
+    right = sorted((p for p in circle if p[0] > 0 or p == (0, -1)), key=lambda p: p[1])
+    ring = left + right
+    verts = [(F(-1, 2), F(0)), (F(1, 2), F(0))] + ring
+    top, bottom = 2, 2 + ring.index((0, -1))
+    tris = [(0, 1, top), (1, 0, bottom)]
+    for k in range(len(ring)):
+        a, b = 2 + k, 2 + (k + 1) % len(ring)
+        tris.append((0 if k < bottom - 2 else 1, a, b))
+    return verts, tris
+
+
+@st.composite
+def affine_images(draw, meshes):
+    verts, tris = draw(meshes)
+    entry = st.fractions(-3, 3, max_denominator=5)
+    a, b, c, d = (draw(entry) for _ in range(4))
+    assume(a * d != b * c)
+    e, f = draw(entry), draw(entry)
+    return [(a * x + b * y + e, c * x + d * y + f) for x, y in verts], tris
+
+
+valid_meshes = st.one_of(jittered_grids(), one_tie_stars(),
+                         affine_images(st.one_of(jittered_grids(), one_tie_stars())))
+
+
+@st.composite
+def perturbed_meshes(draw):
+    """A valid mesh with one vertex moved to a random rational point nearby."""
+    verts, tris = draw(st.one_of(jittered_grids(), one_tie_stars()))
+    i = draw(st.integers(0, len(verts) - 1))
+    coord = st.fractions(-2, 5, max_denominator=4)
+    verts = list(verts)
+    verts[i] = (draw(coord), draw(coord))
+    return verts, tris
+
+
+@st.composite
+def glued_ears(draw):
+    """A valid mesh with one to three more triangles, each outside a boundary
+    edge with its apex a new point or an existing vertex: a valid larger
+    mesh, or ears that pinch, overlap each other, cross the boundary or
+    leave a vertex inside an edge."""
+    verts, tris = draw(st.one_of(jittered_grids(), affine_images(one_tie_stars())))
+    mesh = tg.build(verts, tris)
+    keys = draw(st.lists(st.sampled_from([e.key for e in mesh.boundary_edges()]),
+                         min_size=1, max_size=3, unique=True))
+    verts, tris = list(verts), list(tris)
+    coord = st.fractions(-2, 6, max_denominator=2)
+    for u, v in keys:
+        (t,) = (t for t in mesh.triangles if {u, v} <= set(t))
+        if (t.index(v) - t.index(u)) % 3 != 1:
+            u, v = v, u  # the mesh lies to the left of u -> v
+        pu, pv = mesh.vertices[u], mesh.vertices[v]
+        outside = [i for i, p in enumerate(mesh.vertices) if referee_orient(pu, pv, p) < 0]
+        w = draw(st.one_of(st.tuples(coord, coord),
+                           *([st.sampled_from(outside)] if outside else [])))
+        if isinstance(w, tuple):
+            w = tg.Point2(*w)
+            if referee_orient(pu, pv, w) > 0:
+                w = tg.Point2(pu.x + pv.x - w.x, pu.y + pv.y - w.y)
+            verts.append(w)
+            w = len(verts) - 1
+        tris.append((u, v, w))
+    return verts, tris
+
+
+@st.composite
+def triangle_soups(draw):
+    """A few triangles on a small lattice, every vertex used."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                        min_size=3, max_size=8, unique=True))
+    idx = st.integers(0, len(pts) - 1)
+    tris = draw(st.lists(st.tuples(idx, idx, idx), min_size=1, max_size=7))
+    used = sorted({i for t in tris for i in t})
+    if len(used) < 3:
+        used = sorted(set(used) | set(range(3)))
+    new = {old: k for k, old in enumerate(used)}
+    return [pts[i] for i in used], [tuple(new[i] for i in t) for t in tris]
+
+
+# ------------------------------------------------------------ differential
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(valid_meshes)
+def test_valid_meshes_accepted_by_both(mesh):
+    verts, tris = mesh
+    assert _verdict(referee_validate, verts, tris) is None
+    tri = tg.build(verts, tris)
+    assert len(tri.vertices) - len(tri.edges) + len(tri.triangles) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(one_tie_stars())
+def test_one_tie_stars_have_one_tie(mesh):
+    tri = tg.build(*mesh)
+    (tie,) = tri.totally_interior_edges()
+    assert tie.key == (0, 1)
+    assert tri.interior_vertices == (0, 1)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(perturbed_meshes(), glued_ears(), triangle_soups()))
+def test_broken_meshes_agree(mesh):
+    _assert_agree(*mesh)
+
+
+# A fan whose link is a pentagram: five wedges of 144 degrees around (0, 0).
+_PENTAGON = [(0, 10), (-10, 3), (-6, -8), (6, -8), (10, 3)]
+
+ADVERSARIAL = {
+    "fold": conftest.INVALID_MESHES["fold"],
+    "pentagram-fan": ([(0, 0)] + _PENTAGON,
+                      [(0, 1 + k, 1 + (k + 2) % 5) for k in range(5)], tg.EdgeCrossing),
+    # two closed fans around the same vertex: its link is two cycles
+    "double-fan": ([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (2, 1), (-1, 2), (-2, -1), (1, -2)],
+                   [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
+                    (0, 5, 6), (0, 6, 7), (0, 7, 8), (0, 8, 5)], tg.EdgeCrossing),
+    "nested-triangles": ([(0, 0), (10, 0), (0, 10), (1, 1), (2, 1), (1, 2)],
+                         [(0, 1, 2), (3, 4, 5)], tg.DisconnectedOrHoley),
+    # nested triangles sharing a corner
+    "nested-at-corner": ([(0, 0), (4, 0), (0, 4), (2, 1), (1, 2)],
+                         [(0, 1, 2), (0, 3, 4)], tg.DisconnectedOrHoley),
+    # boundary edges (0, 1) and (3, 4) overlap along [1, 2] x {0}
+    "collinear-overlap": ([(0, 0), (2, 0), (1, 1), (1, 0), (3, 0), (2, -1)],
+                          [(0, 1, 2), (3, 4, 5)], tg.HangingVertex),
+    # the same along the vertical line x = 0, where the sweep's x-ranges only touch
+    "collinear-overlap-vertical": ([(0, 0), (0, 2), (-1, 1), (0, 1), (0, 3), (1, 2)],
+                                   [(0, 1, 2), (3, 4, 5)], tg.HangingVertex),
+    "bowtie-pinch": ([(-2, -1), (0, 0), (-2, 1), (2, -1), (2, 1)],
+                     [(0, 1, 2), (1, 3, 4)], tg.DisconnectedOrHoley),
+    "poke-across-boundary": conftest.INVALID_MESHES["crossing"],
+    # (1, 1) lies inside the diagonal of a square, which borders two triangles
+    "vertex-in-interior-edge": ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (3, 1)],
+                                [(0, 1, 2), (0, 2, 3), (4, 1, 5)], tg.EdgeCrossing),
+    # (1, 1) splits the diagonal of a square on one side only
+    "t-junction": ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)],
+                   [(0, 1, 2), (0, 4, 3), (4, 2, 3)], tg.HangingVertex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_adversarial_meshes_rejected_by_both(name):
+    verts, tris, cls = ADVERSARIAL[name]
+    assert _verdict(referee_validate, verts, tris) is not None
+    assert _assert_agree(verts, tris) is cls
+
+
+def test_fan_check_names_the_vertex():
+    verts, tris, _ = ADVERSARIAL["pentagram-fan"]
+    with pytest.raises(tg.EdgeCrossing, match="at vertex 0 wind 2 times"):
+        tg.build(verts, tris)
+    verts, tris, _ = ADVERSARIAL["double-fan"]
+    with pytest.raises(tg.EdgeCrossing, match="at vertex 0 wind 2 times"):
+        tg.build(verts, tris)
+
+
+@pytest.mark.parametrize("name", sorted(conftest.INVALID_MESHES))
+def test_invalid_meshes_agree(name):
+    verts, tris, cls = conftest.INVALID_MESHES[name]
+    assert _verdict(referee_validate, verts, tris) is cls
+    assert _verdict(tg.build, verts, tris) is cls
+
+
+# ------------------------------------------------------------------ scale
+
+def _census(tri):
+    return (len(tri.vertices), len(tri.boundary_vertices), len(tri.interior_vertices),
+            len(tri.triangles), len(tri.edges), len(tri.boundary_edges()),
+            len(tri.interior_edges()))
+
+
+def test_30x30_grid_census():
+    grid = tg.build(*conftest.grid_data(30, 30))
+    census = (961, 120, 841, 1800, 2760, 120, 2640)
+    assert _census(grid) == census
+    image = tg.affine_transform(grid, [("3/2", "1/3"), ("-2/5", "7/4")], ("1/7", "-5/3"))
+    assert _census(image) == census
+    assert image.vertex_kind == grid.vertex_kind
+    assert [e.kind for e in image.edges] == [e.kind for e in grid.edges]
