@@ -57,41 +57,40 @@ def binom(a: int, b: int) -> int:
 def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
     """Rank over Q of integer rows given as {column: value} dicts.
 
-    Fraction-free elimination: each update combines two integer rows with the
-    gcd of the two cofactors divided out first, so entries stay integral with
-    no rational arithmetic.  Columns are processed in ascending order and the
-    pivot row in a column is chosen to keep entries small (unit pivots first).
-    Pivot choice affects growth only, never the resulting rank.
+    Each row is copied once, without its zero entries (the caller's rows are
+    never mutated), into a bucket keyed by its leading column.  Columns are
+    swept in ascending order, so the bucket of the current column holds every
+    live row that leads there.  Its pivot has the shortest leading entry, then
+    the fewest entries; every other row is combined with it fraction-free (the
+    gcd of the cofactors divided out) and moves to its new leading column's
+    bucket.  Pivot choice affects coefficient growth only, never the rank.
     """
-    work: list[dict[int, int] | None] = [dict(r) for r in rows if r]
-    live = len(work)
-    if live == 0:
-        return 0
-    colrows: dict[int, set[int]] = {}
-    for rid, row in enumerate(work):
-        for c in row:  # type: ignore[union-attr]
-            colrows.setdefault(c, set()).add(rid)
-
+    buckets: dict[int, list[dict[int, int]]] = {}
+    cols: set[int] = set()
+    for r in rows:
+        row = {c: v for c, v in r.items() if v}
+        if row:
+            cols.update(row)
+            buckets.setdefault(min(row), []).append(row)
     rank = 0
-    for col in sorted(colrows):
-        if live == 0:
-            break
-        cand = [rid for rid in colrows[col] if work[rid] is not None and col in work[rid]]
-        if not cand:
+    for col in sorted(cols):
+        bucket = buckets.pop(col, None)
+        if bucket is None:
             continue
-        piv = min(cand, key=lambda rid: (abs(work[rid][col]).bit_length(), len(work[rid])))
-        prow = work[piv]
+        rank += 1
+        if len(bucket) == 1:
+            continue
+        prow = min(bucket, key=lambda row: (abs(row[col]).bit_length(), len(row)))
         pval = prow[col]
-        for rid in cand:
-            if rid == piv:
+        for row in bucket:
+            if row is prow:
                 continue
-            row = work[rid]
             v = row[col]
             g = math.gcd(pval, v)
             mr = pval // g
             mv = v // g
             if mr == 1:
-                new = dict(row)
+                new = row
             elif mr == -1:
                 new = {c2: -w for c2, w in row.items()}
             else:
@@ -106,8 +105,6 @@ def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
                 elif c2 in new:
                     del new[c2]
             if not new:
-                work[rid] = None
-                live -= 1
                 continue
             if maxbits > _STRIP_BITS:
                 content = 0
@@ -117,17 +114,15 @@ def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
                         break
                 if content > 1:
                     new = {c2: w // content for c2, w in new.items()}
-            work[rid] = new
-            for c2 in new:
-                colrows.setdefault(c2, set()).add(rid)
-        work[piv] = None
-        live -= 1
-        rank += 1
+            buckets.setdefault(min(new), []).append(new)
     return rank
 
 
 def kernel_dim_sparse(rows: Sequence[dict[int, int]], ncols: int) -> int:
-    """Nullity of the system given by sparse integer rows over ncols unknowns."""
+    """Nullity of sparse integer rows whose columns all lie in 0..ncols-1."""
     if ncols < 0:
         raise ValueError("negative column count")
+    cols = {c for row in rows for c in row}
+    if cols and (min(cols) < 0 or max(cols) >= ncols):
+        raise ValueError(f"row columns {min(cols)}..{max(cols)} outside 0..{ncols - 1}")
     return ncols - rank_sparse(rows)

@@ -199,8 +199,8 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     r2 = rank_sparse(a2)
     dim1 = n_d - (rank_sparse(a1 + zrows) - r1)
     dim2 = n_d - (rank_sparse(a2 + zrows) - r2)
-    paired = [dict(row) | {n_big + k: v for k, v in row.items()} for row in zrows]
-    paired += [dict(row) for row in a1]
+    paired = [row | {n_big + k: v for k, v in row.items()} for row in zrows]
+    paired += a1
     paired += [{n_big + k: v for k, v in row.items()} for row in a2]
     dim_both = n_d - (rank_sparse(paired) - r1 - r2)
     return (dim1, dim2, dim_both)

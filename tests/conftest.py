@@ -1,8 +1,12 @@
 """Shared fixtures: bundled meshes and a few tiny hand-built ones."""
 
 import pytest
+from hypothesis import settings
 
 from splinedim import triangulation as tg
+
+# many more examples for a separate CI run: pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

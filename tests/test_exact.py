@@ -174,6 +174,22 @@ def test_sparse_rank_empty():
     assert rank_sparse([]) == 0
     assert kernel_dim_sparse([], 5) == 5
     assert kernel_dim_sparse([{}], 4) == 4
+    # explicit zero entries are no entries
+    assert rank_sparse([{0: 0}]) == 0
+    assert kernel_dim_sparse([{0: 0}], 1) == 1
+    assert rank_sparse([{0: 0}, {0: 0}]) == 0
+    assert rank_sparse([{0: 0, 1: 1}, {1: 2}]) == 1
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([{0: 1}, {1: 1}, {2: 1}], 2),
+    ([{0: 1, 4: 2}], 4),
+    ([{-1: 1}], 3),
+    ([{0: 1}], 0),
+])
+def test_kernel_dim_sparse_rejects_columns_outside_range(rows, ncols):
+    with pytest.raises(ValueError):
+        kernel_dim_sparse(rows, ncols)
 
 
 def test_empty_matrix_with_declared_columns():
@@ -186,3 +202,53 @@ def test_rank_wide_vandermonde():
     nodes = [1, 2, 3, 5, 8, 13]
     rows = [[x**k for k in range(6)] for x in nodes]
     assert rank(rows) == 6
+
+
+def _referee_rank(rows, ncols):
+    """Rank by dense Fraction row reduction; shares no code with rank_sparse."""
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    rank = 0
+    for j in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][j] / m[rank][j]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+_dense = st.integers(1, 8).flatmap(
+    lambda nc: st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc), max_size=8)
+    .map(lambda rows: (rows, nc)))
+
+
+@given(_dense)
+def test_sparse_rank_matches_referee_with_explicit_zeros(dense):
+    rows, nc = dense
+    sparse = [dict(enumerate(row)) for row in rows]
+    expected = _referee_rank(sparse, nc)
+    assert rank_sparse(sparse) == expected
+    assert kernel_dim_sparse(sparse, nc) == nc - expected
+
+
+@given(_dense, st.data())
+def test_sparse_rank_matches_referee_on_huge_entries(dense, data):
+    # entries past _STRIP_BITS make the content strip run
+    rows, nc = dense
+    scales = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 5]),
+                                min_size=len(rows), max_size=len(rows)))
+    sparse = [{j: k * 2**600 * v for j, v in enumerate(row) if v} for row, k in zip(rows, scales)]
+    assert rank_sparse(sparse) == _referee_rank([dict(enumerate(row)) for row in rows], nc)
+
+
+@given(_dense)
+def test_sparse_rank_leaves_input_rows_unchanged(dense):
+    rows, nc = dense
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    before = [dict(row) for row in sparse]
+    rank_sparse(sparse)
+    kernel_dim_sparse(sparse, nc)
+    assert sparse == before
