@@ -208,30 +208,27 @@ def dim(tri: tg.Triangulation, d: int, r: int, method: str = "auto",
     "oracle" sets up the smoothness linear system and counts its kernel.
     """
     _check_dr(d, r)
+    if method not in ("auto", "lattice", "explicit", "oracle"):
+        raise ValueError(f"unknown method {method!r}")
+    lower = schumaker_lower_bound(tri, d, r)
     if method == "oracle":
         from . import oracle
-        total = oracle.dim_spline_oracle(tri, d, r, allow_large=allow_large)
-        lower = schumaker_lower_bound(tri, d, r)
-        return DimReport(r, d, lower, total - lower, total, "oracle")
-
-    if method in ("lattice", "explicit"):
+        correction = oracle.dim_spline_oracle(tri, d, r, allow_large=allow_large) - lower
+    elif method in ("lattice", "explicit"):
         params = tg.extract_one_tie_params(tri)
         rep = dim_lattice(params, d, r) if method == "lattice" else dim_explicit(params, d, r)
-        # rebase on the mesh-level bound: extra interior edges off the shared
-        # edge shift both bounds by the same amount, the correction is local
-        lower = schumaker_lower_bound(tri, d, r)
-        return DimReport(r, d, lower, rep.correction, lower + rep.correction, rep.method)
-
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-
-    lower = schumaker_lower_bound(tri, d, r)
-    kind, _, params = classify(tri, r)
-    if kind != "one-tie":
-        return DimReport(r, d, lower, 0, lower, kind)
-    latt = dim_lattice(params, d, r)
-    expl = dim_explicit(params, d, r)
-    if latt.total != expl.total:
-        raise DimensionError(
-            f"internal disagreement at d={d}, r={r}: lattice {latt.total} vs explicit {expl.total}")
-    return DimReport(r, d, lower, latt.correction, lower + latt.correction, "lattice")
+        correction = rep.correction
+    else:
+        kind, _, params = classify(tri, r)
+        method, correction = kind, 0
+        if kind == "one-tie":
+            latt = dim_lattice(params, d, r)
+            expl = dim_explicit(params, d, r)
+            if latt.total != expl.total:
+                raise DimensionError(f"internal disagreement at d={d}, r={r}: "
+                                     f"lattice {latt.total} vs explicit {expl.total}")
+            method, correction = "lattice", latt.correction
+    # the one-tie routes report a correction on their local bound; rebase it on
+    # the mesh-level bound: extra interior edges off the shared edge shift both
+    # bounds by the same amount, the correction is local
+    return DimReport(r, d, lower, correction, lower + correction, method)

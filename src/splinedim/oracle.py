@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
+from operator import add
 from typing import Sequence
 
 from . import triangulation as tg
@@ -131,11 +132,7 @@ def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,
             continue
         gen = _power(form, power)
         for mono in _monomials_exact(nvars, d - power):
-            row = {}
-            for pm, pc in gen.items():
-                key = tuple(a + b for a, b in zip(mono, pm))
-                row[midx[key]] = pc
-            rows.append(row)
+            rows.append({midx[tuple(map(add, mono, pm))]: pc for pm, pc in gen.items()})
     return rows
 
 

@@ -12,7 +12,7 @@ of each interior edge on opposite sides of it, one fan winding once
 around each interior vertex, and a boundary that is one simple cycle,
 found by sweeping the boundary segments by x.  All predicates run on
 integers, after scaling the vertices by the lcm of their denominators.
-build()'s docstring gives the check order and the MeshError each check
+build()'s docstring gives the check order and the exception each check
 raises.
 """
 
@@ -33,7 +33,7 @@ class MeshError(Exception):
 
 
 class MeshFormatError(ValueError):
-    """Mesh file is structurally malformed (bad JSON, floats, wrong shapes)."""
+    """Mesh input is structurally malformed: bad JSON, floats, wrong shapes or indices."""
 
 
 class DegenerateTriangle(MeshError):
@@ -102,22 +102,8 @@ def _primitive(dx: int, dy: int) -> Slope:
     return Slope(dx, dy)
 
 
-def slope_of(p: Point2, q: Point2) -> Slope:
-    dx = q.x - p.x
-    dy = q.y - p.y
-    if dx == 0 and dy == 0:
-        raise ValueError("zero-length segment has no slope")
-    scale = math.lcm(dx.denominator, dy.denominator)
-    return _primitive(dx.numerator * (scale // dx.denominator),
-                      dy.numerator * (scale // dy.denominator))
-
-
-def _orient(a: Sequence, b: Sequence, c: Sequence) -> int | Fraction:
-    """Twice the signed area of (a, b, c); sign gives the turn direction.
-
-    Points are coordinate pairs: lattice int pairs inside build(), any
-    Point2 elsewhere.
-    """
+def _orient(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
+    """Twice the signed area of the lattice points (a, b, c); sign gives the turn direction."""
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
@@ -253,14 +239,19 @@ def _check_fans(lat: list[tuple[int, int]], tris: list[tuple[int, int, int]],
 def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> Triangulation:
     """Assemble and validate a triangulation from raw vertex and triangle data.
 
-    Vertices are pairs of exact rationals (ints, Fractions, or "num/den"
-    strings).  Triangles are index triples; orientation is normalized to
-    counterclockwise.  Every predicate runs on the integer lattice that
-    scaling all vertices by the lcm of their denominators gives.
+    Vertices are lists or tuples of two exact rationals (ints, Fractions,
+    or "num/den" strings).  Triangles are lists or tuples of three int
+    vertex indices; orientation is normalized to counterclockwise.  Every
+    predicate runs on the integer lattice that scaling all vertices by the
+    lcm of their denominators gives.
 
-    Raises a MeshError subclass describing the first problem found, with
-    the checks in this order:
+    Raises an exception describing the first problem found, with the
+    checks in this order:
 
+    0. Structure, before any geometry, MeshFormatError (a ValueError):
+       a vertex is not a pair of exact rationals, or a triangle is not a
+       triple of ints (bools excluded) naming existing vertices.  Fewer
+       than 3 vertices, or no triangle, raise a plain ValueError.
     1. DuplicateVertex: two vertices coincide.
     2. DegenerateTriangle: a triangle repeats a vertex or has zero area.
     3. NonManifoldEdge: a triangle repeats another, an edge borders more
@@ -288,10 +279,24 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     """
     pts: list[Point2] = []
     for i, raw in enumerate(vertices):
-        xy = tuple(raw)
-        if len(xy) != 2:
-            raise ValueError(f"vertex {i} is not a coordinate pair")
-        pts.append(Point2(parse_rational(xy[0]), parse_rational(xy[1])))
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+            raise MeshFormatError(f"vertex {i} must be a [x, y] pair")
+        xy = []
+        for c in raw:
+            try:
+                xy.append(parse_rational(c))
+            except ValueError as exc:
+                raise MeshFormatError(str(exc) if isinstance(c, str) else
+                                      f"vertex {i} has a non-rational coordinate {c!r}") from None
+        pts.append(Point2(*xy))
+    tris: list[tuple[int, int, int]] = []
+    for k, raw in enumerate(triangles):
+        if (not isinstance(raw, (list, tuple)) or len(raw) != 3
+                or any(not isinstance(i, int) or isinstance(i, bool) for i in raw)):
+            raise MeshFormatError(f"triangle {k} must be an [i, j, k] index triple")
+        if any(i < 0 or i >= len(pts) for i in raw):
+            raise MeshFormatError(f"triangle {k} references a missing vertex")
+        tris.append(tuple(raw))
     if len(pts) < 3:
         raise ValueError("need at least 3 vertices")
 
@@ -305,26 +310,19 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
         if j != i:
             raise DuplicateVertex(f"vertices {j} and {i} coincide at {pts[i]}")
 
-    tris: list[tuple[int, int, int]] = []
     seen_tris: set[frozenset[int]] = set()
-    for k, raw in enumerate(triangles):
-        tri = tuple(int(i) for i in raw)
-        if len(tri) != 3:
-            raise ValueError(f"triangle {k} is not an index triple")
-        if any(i < 0 or i >= len(pts) for i in tri):
-            raise ValueError(f"triangle {k} references a missing vertex")
+    for k, tri in enumerate(tris):
         if len(set(tri)) != 3:
             raise DegenerateTriangle(f"triangle {k} repeats a vertex")
         area2 = _orient(lat[tri[0]], lat[tri[1]], lat[tri[2]])
         if area2 == 0:
             raise DegenerateTriangle(f"triangle {k} has zero area")
         if area2 < 0:
-            tri = (tri[0], tri[2], tri[1])
+            tris[k] = tri = (tri[0], tri[2], tri[1])
         key = frozenset(tri)
         if key in seen_tris:
             raise NonManifoldEdge(f"triangle {k} duplicates an earlier triangle")
         seen_tris.add(key)
-        tris.append(tri)
     if not tris:
         raise ValueError("need at least 1 triangle")
 
@@ -363,17 +361,15 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     for v, nbrs in bnbrs.items():
         if len(nbrs) != 2:
             raise DisconnectedOrHoley(f"boundary pinches at vertex {v}")
-    start = boundary_keys[0][0]
-    visited_edges = set()
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in bnbrs[cur] if w != prev]
-        step = nxt[0] if prev is not None else bnbrs[cur][0]
-        visited_edges.add((cur, step) if cur < step else (step, cur))
-        prev, cur = cur, step
-        if cur == start:
-            break
-    if len(visited_edges) != len(boundary_keys):
+    # each boundary vertex has two boundary neighbours, so the walk along
+    # the first boundary edge comes back to its start after one cycle
+    start, cur = boundary_keys[0]
+    prev, steps = start, 1
+    while cur != start:
+        a, b = bnbrs[cur]
+        prev, cur = cur, b if a == prev else a
+        steps += 1
+    if steps != len(boundary_keys):
         raise DisconnectedOrHoley("boundary is not a single cycle")
 
     # flood fill across shared edges; a valid disk is edge-connected
@@ -503,7 +499,7 @@ def parse_mesh(text: str) -> Triangulation:
     """Parse the JSON mesh format: {"vertices": [[x, y], ...], "triangles": [[i, j, k], ...]}.
 
     Coordinates are integers or "num/den" strings.  Floats anywhere in the
-    file are rejected.
+    file are rejected here; build() checks the vertices and triangles.
     """
 
     def _no_floats(tok: str) -> Fraction:
@@ -511,8 +507,6 @@ def parse_mesh(text: str) -> Triangulation:
 
     try:
         data = json.loads(text, parse_float=_no_floats)
-    except MeshFormatError:
-        raise
     except json.JSONDecodeError as exc:
         raise MeshFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -520,28 +514,7 @@ def parse_mesh(text: str) -> Triangulation:
     for key in ("vertices", "triangles"):
         if key not in data or not isinstance(data[key], list):
             raise MeshFormatError(f"missing or non-list {key!r}")
-    verts = []
-    for i, item in enumerate(data["vertices"]):
-        if not isinstance(item, list) or len(item) != 2:
-            raise MeshFormatError(f"vertex {i} must be a [x, y] pair")
-        pair = []
-        for coord in item:
-            if not isinstance(coord, (int, str)) or isinstance(coord, bool):
-                raise MeshFormatError(f"vertex {i} has a non-rational coordinate {coord!r}")
-            try:
-                pair.append(parse_rational(coord))
-            except ValueError as exc:
-                raise MeshFormatError(str(exc)) from exc
-        verts.append(pair)
-    tris = []
-    for k, item in enumerate(data["triangles"]):
-        if (not isinstance(item, list) or len(item) != 3
-                or any(not isinstance(i, int) or isinstance(i, bool) for i in item)):
-            raise MeshFormatError(f"triangle {k} must be an [i, j, k] index triple")
-        if any(i < 0 or i >= len(verts) for i in item):
-            raise MeshFormatError(f"triangle {k} references a missing vertex")
-        tris.append(item)
-    return build(verts, tris)
+    return build(data["vertices"], data["triangles"])
 
 
 def load_mesh(path) -> Triangulation:

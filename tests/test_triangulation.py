@@ -2,13 +2,16 @@
 read off the unique totally interior edge."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from splinedim import dimension as dm
 from splinedim import triangulation as tg
 
 import conftest
+from mesh_referee import _orient as referee_orient
 
 
 # ------------------------------------------------------------ censuses
@@ -50,16 +53,18 @@ def test_edge_classification(fig2):
 
 # ------------------------------------------------------- slope helpers
 
-def test_slope_of_canonical():
-    P = tg.Point2
-    a = tg.slope_of(P(0, 0), P(2, 4))
-    b = tg.slope_of(P(2, 4), P(0, 0))
-    assert a == b == tg.Slope(1, 2)
-    assert tg.slope_of(P(0, 0), P(0, -3)) == tg.Slope(0, 1)
-    assert tg.slope_of(P(5, 1), P(1, 1)) == tg.Slope(1, 0)
+def test_primitive_canonical():
+    # opposite directions share one slope, reduced by the gcd
+    assert tg._primitive(2, 4) == tg._primitive(-2, -4) == tg.Slope(1, 2)
+    assert tg._primitive(0, -3) == tg.Slope(0, 1)
+    assert tg._primitive(-4, 0) == tg.Slope(1, 0)
+
+
+def test_edge_slope_with_fraction_vertices():
     # fractions reduce to a primitive integer direction
-    from fractions import Fraction as F
-    assert tg.slope_of(P(0, 0), P(F(1, 2), F(3, 4))) == tg.Slope(2, 3)
+    tri = tg.build([(F(0), F(0)), (F(1, 2), F(3, 4)), (F(0), F(1))], [(0, 1, 2)])
+    (edge,) = (e for e in tri.edges if e.key == (0, 1))
+    assert edge.slope == tg.Slope(2, 3)
 
 
 def test_slope_count_at_interior_vertices(fig2):
@@ -156,6 +161,26 @@ def test_build_vertex_index_out_of_range():
         tg.build([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])
 
 
+@pytest.mark.parametrize("index", [2.7, "2", True])
+def test_build_rejects_non_int_index(index):
+    with pytest.raises(tg.MeshFormatError, match="triangle 0 must be an"):
+        tg.build([(0, 0), (1, 0), (0, 1)], [(0, 1, index)])
+
+
+@pytest.mark.parametrize("vertex", ["01", 5, (0, 1, 2)])
+def test_build_rejects_non_pair_vertex(vertex):
+    with pytest.raises(tg.MeshFormatError, match="vertex 2 must be a"):
+        tg.build([(0, 0), (1, 0), vertex], [(0, 1, 2)])
+
+
+def test_build_checks_structure_before_geometry():
+    # the coincident vertices 0 and 3 are found only after every index is checked
+    with pytest.raises(tg.MeshFormatError, match="triangle 1 references a missing vertex"):
+        tg.build([(0, 0), (1, 0), (0, 1), (0, 0)], [(0, 1, 2), (0, 1, 9)])
+    with pytest.raises(tg.MeshFormatError, match="non-rational coordinate None"):
+        tg.build([(0, 0), (1, 0), (0, None)], [(0, 1, 1)])
+
+
 def test_build_duplicate_triangle():
     with pytest.raises(tg.NonManifoldEdge):
         tg.build([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (1, 2, 0)])
@@ -205,7 +230,7 @@ def test_build_normalizes_orientation():
     # clockwise input triangles come out counterclockwise
     tri = tg.build([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
     a, b, c = (tri.vertices[i] for i in tri.triangles[0])
-    assert tg._orient(a, b, c) > 0
+    assert referee_orient(a, b, c) > 0
 
 
 # ---------------------------------------------------------- mesh files
@@ -225,6 +250,37 @@ def test_parse_mesh_rejects_malformed():
     with pytest.raises(tg.MeshFormatError):
         tg.parse_mesh(json.dumps({"vertices": [[0, 0, 3], [1, 0], [0, 1]],
                                   "triangles": [[0, 1, 2]]}))
+
+
+_scalars = st.one_of(st.integers(-1, 3),
+                     st.builds("{}/{}".format, st.integers(-2, 2), st.integers(0, 3)),
+                     st.text(max_size=3), st.booleans(), st.none())
+_items = st.one_of(_scalars, st.lists(_scalars, min_size=1, max_size=4))
+# lists of int pairs and of int triples are drawn on their own often enough
+# that some inputs get past the structural checks into the geometry
+_pairs = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+_triples = st.lists(st.integers(0, 4), min_size=3, max_size=3)
+_json_vertices = st.one_of(st.lists(_pairs, min_size=3, max_size=5, unique_by=tuple),
+                           st.lists(st.one_of(_pairs, _items), max_size=5))
+_json_triangles = st.one_of(st.lists(_triples, min_size=1, max_size=3),
+                            st.lists(st.one_of(_triples, _items), max_size=3))
+
+
+def _outcome(make):
+    try:
+        tri = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tri.vertices, tri.triangles, tri.edges, tri.vertex_kind, tri.edges_at
+
+
+@given(_json_vertices, _json_triangles)
+def test_build_and_parse_mesh_agree(verts, tris):
+    # parse_mesh only decodes JSON, so it must give what build gives on the same data
+    direct = _outcome(lambda: tg.build(verts, tris))
+    parsed = _outcome(lambda: tg.parse_mesh(json.dumps({"vertices": verts, "triangles": tris})))
+    assert direct == parsed
+    assert direct[0] not in (TypeError, IndexError, KeyError)
 
 
 def test_round_trip_through_text(fig2, toh):
