@@ -33,7 +33,7 @@ class UnsupportedTopology(DimensionError):
 
 
 def _check_dr(d: int, r: int) -> None:
-    if not isinstance(d, int) or not isinstance(r, int):
+    if type(d) is bool or type(r) is bool or not isinstance(d, int) or not isinstance(r, int):
         raise ValueError("d and r must be integers")
     if d < 0 or r < 0:
         raise ValueError("d and r must be nonnegative")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -54,16 +54,17 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
-    """Rank over Q of integer rows given as {column: value} dicts.
+def pivot_rows(rows: Sequence[dict[int, int]]) -> Iterator[dict[int, int]]:
+    """Echelon basis over Q of integer {column: value} rows, one pivot row at a time.
 
     Each row is copied once, without its zero entries (the caller's rows are
     never mutated), into a bucket keyed by its leading column.  Columns are
     swept in ascending order, so the bucket of the current column holds every
     live row that leads there.  Its pivot has the shortest leading entry, then
-    the fewest entries; every other row is combined with it fraction-free (the
-    gcd of the cofactors divided out) and moves to its new leading column's
-    bucket.  Pivot choice affects coefficient growth only, never the rank.
+    the fewest entries, and is yielded as soon as it is chosen; it is never
+    changed afterwards.  Every other row is combined with it fraction-free
+    (the gcd of the cofactors divided out) and moves to its new leading
+    column's bucket.  Pivot choice affects coefficient growth only.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     cols: set[int] = set()
@@ -72,15 +73,15 @@ def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
         if row:
             cols.update(row)
             buckets.setdefault(min(row), []).append(row)
-    rank = 0
     for col in sorted(cols):
         bucket = buckets.pop(col, None)
         if bucket is None:
             continue
-        rank += 1
         if len(bucket) == 1:
+            yield bucket[0]
             continue
         prow = min(bucket, key=lambda row: (abs(row[col]).bit_length(), len(row)))
+        yield prow
         pval = prow[col]
         for row in bucket:
             if row is prow:
@@ -115,7 +116,11 @@ def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
                 if content > 1:
                     new = {c2: w // content for c2, w in new.items()}
             buckets.setdefault(min(new), []).append(new)
-    return rank
+
+
+def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
+    """Rank over Q of integer {column: value} rows: the pivot rows, counted and not kept."""
+    return sum(1 for _ in pivot_rows(rows))
 
 
 def kernel_dim_sparse(rows: Sequence[dict[int, int]], ncols: int) -> int:

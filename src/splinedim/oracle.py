@@ -9,13 +9,12 @@ the closed forms is therefore a real test, not a tautology.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from operator import add
 from typing import Sequence
 
 from . import triangulation as tg
-from .exact import kernel_dim_sparse, parse_rational, rank_sparse
+from .exact import kernel_dim_sparse, parse_rational, pivot_rows, rank_sparse
 
 
 class OracleError(Exception):
@@ -34,15 +33,13 @@ MAX_COLUMNS = 5000
 
 
 def _monomials_exact(nvars: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree exactly d, in a fixed order."""
-    out = []
-    for bars in combinations_with_replacement(range(nvars), d):
-        expo = [0] * nvars
-        for v in bars:
-            expo[v] += 1
-        out.append(tuple(expo))
-    out.sort(reverse=True)
-    return out
+    """Exponent tuples of total degree exactly d, in descending lex order."""
+    if nvars == 0:
+        return [()] if d == 0 else []
+    heads = [((), d)]
+    for _ in range(nvars - 1):
+        heads = [(head + (a,), rem - a) for head, rem in heads for a in range(rem, -1, -1)]
+    return [head + (rem,) for head, rem in heads]
 
 
 def _int_linear_form(coeffs: Sequence) -> tuple[int, ...]:
@@ -152,6 +149,11 @@ def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> 
     return rank_sparse(_multiple_rows(generators, d, midx, nvars))
 
 
+def _colon_dim(basis: list[dict[int, int]], zrows: list[dict[int, int]]) -> int:
+    """Kernel dimension of the rows zrows modulo the span of independent rows basis."""
+    return len(zrows) - (rank_sparse(basis + zrows) - len(basis))
+
+
 def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Sequence,
                          e: int, d: int) -> int:
     """Dimension of the degree-d piece of the colon of the ideal by form^e.
@@ -164,13 +166,10 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     if d < 0:
         return 0
     nvars = len(tuple(form))
-    mono_big = _monomials_exact(nvars, d + e)
-    midx = {m: k for k, m in enumerate(mono_big)}
+    midx = {m: k for k, m in enumerate(_monomials_exact(nvars, d + e))}
     ideal_rows = _multiple_rows(generators, d + e, midx, nvars)
     zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
-    r_ideal = rank_sparse(ideal_rows)
-    r_both = rank_sparse(ideal_rows + zrows)
-    return len(zrows) - (r_both - r_ideal)
+    return _colon_dim(list(pivot_rows(ideal_rows)), zrows)
 
 
 def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple[Sequence, int]],
@@ -191,16 +190,12 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     a1 = _multiple_rows(gens1, d + e, midx, nvars)
     a2 = _multiple_rows(gens2, d + e, midx, nvars)
     zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
-    n_d = len(zrows)
-    r1 = rank_sparse(a1)
-    r2 = rank_sparse(a2)
-    dim1 = n_d - (rank_sparse(a1 + zrows) - r1)
-    dim2 = n_d - (rank_sparse(a2 + zrows) - r2)
+    b1 = list(pivot_rows(a1))
+    b2 = list(pivot_rows(a2))
+    # the second quotient's columns sit past the first's, so b1 and b2 stay independent
+    both = b1 + [{n_big + k: v for k, v in row.items()} for row in b2]
     paired = [row | {n_big + k: v for k, v in row.items()} for row in zrows]
-    paired += a1
-    paired += [{n_big + k: v for k, v in row.items()} for row in a2]
-    dim_both = n_d - (rank_sparse(paired) - r1 - r2)
-    return (dim1, dim2, dim_both)
+    return (_colon_dim(b1, zrows), _colon_dim(b2, zrows), _colon_dim(both, paired))
 
 
 def _validated_slopes(values: Sequence, what: str) -> list[Fraction]:

@@ -95,18 +95,14 @@ def homology_dim(tp: TiePair, d: int) -> int:
     level = d - (r + 1)
     if level < 0:
         return 0
-    cap1 = r + 1 - s
-    cap2 = r + 1 - t
     count = 0
     for cc in range(level + 1):
-        rem1 = cap1 - (s - 1) * cc
-        rem2 = cap2 - (t - 1) * cc
+        rem1 = r + 1 - s - (s - 1) * cc
+        rem2 = r + 1 - t - (t - 1) * cc
         if rem1 < 0 or rem2 < 0:
             break
-        for aa in range(min(rem1 // s, level - cc) + 1):
-            bb = level - cc - aa
-            if t * bb <= rem2:
-                count += 1
+        # the admissible A form one interval; t*B <= rem2 with B = level - C - A bounds it below
+        count += max(0, min(rem1 // s, level - cc) - max(0, level - cc - rem2 // t) + 1)
     return count
 
 

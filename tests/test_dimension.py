@@ -86,6 +86,15 @@ def test_check_dr_rejects_negative(fig2):
         dm.dim(fig2, 3, -1)
 
 
+@pytest.mark.parametrize("d, r", [(True, False), (5, True), (False, 2), (4.0, 1)])
+def test_check_dr_rejects_non_integers(toh, d, r):
+    # bool is an int subclass, but True is not a degree
+    with pytest.raises(ValueError, match="d and r must be integers"):
+        dm.dim(toh, d, r)
+    with pytest.raises(ValueError, match="d and r must be integers"):
+        dm.schumaker_lower_bound(toh, d, r)
+
+
 # --------------------------------------------------------- closed forms
 
 def test_f_explicit_golden_values():

@@ -12,6 +12,7 @@ from splinedim.exact import (
     format_rational,
     kernel_dim_sparse,
     parse_rational,
+    pivot_rows,
     rank_sparse,
 )
 
@@ -252,4 +253,18 @@ def test_sparse_rank_leaves_input_rows_unchanged(dense):
     before = [dict(row) for row in sparse]
     rank_sparse(sparse)
     kernel_dim_sparse(sparse, nc)
+    assert sparse == before
+
+
+@given(_dense)
+def test_pivot_rows_are_an_echelon_basis(dense):
+    rows, nc = dense
+    sparse = [dict(enumerate(row)) for row in rows]
+    before = [dict(row) for row in sparse]
+    pivots = list(pivot_rows(sparse))
+    leads = [min(row) for row in pivots]
+    assert all(row[min(row)] for row in pivots)
+    assert len(set(leads)) == len(leads)
+    assert len(pivots) == _referee_rank(sparse, nc)
+    assert _referee_rank(pivots + sparse, nc) == len(pivots)
     assert sparse == before

@@ -4,6 +4,7 @@ Every function here recomputes a dimension by exact linear algebra on a
 monomial basis, with no shared code path to the formulas being checked.
 """
 
+from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
@@ -114,6 +115,23 @@ def test_hilbert_ideal_oracle_rejects_zero_form(power):
     # the form is checked even when its power exceeds the degree
     with pytest.raises(ValueError, match="zero linear form"):
         orc.hilbert_ideal_oracle([((0, 0), power)], 3)
+
+
+def _monomials_referee(nvars, d):
+    """Exponent tuples of degree d from sorted combinations, largest first."""
+    return sorted((tuple(bars.count(v) for v in range(nvars))
+                   for bars in combinations_with_replacement(range(nvars), d)), reverse=True)
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_monomials_exact_descending_lex(nvars):
+    for d in range(14):
+        assert orc._monomials_exact(nvars, d) == _monomials_referee(nvars, d)
+
+
+def test_hilbert_ideal_oracle_rejects_zero_form_in_no_variables():
+    with pytest.raises(ValueError, match="zero linear form"):
+        orc.hilbert_ideal_oracle([((), 1)], 2)
 
 
 @pytest.mark.parametrize("form", [(1,), (3, -2), (0, 5), (2, 0), (1, -1, 2), (0, 3, 0),

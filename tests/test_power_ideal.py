@@ -261,6 +261,14 @@ def test_homology_dim_matches_planar_route(r, data):
         assert homology_dim(tp, d) == homology_dim_planar(tp, d)
 
 
+@pytest.mark.parametrize("r", [40, 97])
+def test_homology_dim_matches_planar_route_at_large_r(r):
+    for s, t in [(2, 2), (2, 3), (3, 4), (5, 7), (r + 1, r + 1)]:
+        tp = TiePair(s, t, r)
+        for d in range(r + 1, homology_regularity(tp) + 3):
+            assert homology_dim(tp, d) == homology_dim_planar(tp, d), (s, t, r, d)
+
+
 def test_homology_regularity_values():
     assert homology_regularity(TiePair(3, 4, 6)) == 8
     assert homology_regularity(TiePair(3, 4, 10)) == 15
