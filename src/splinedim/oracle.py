@@ -81,8 +81,9 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     Polynomials are homogenized as forms in (z, x, y), so a polynomial of
     degree <= d is a form of degree exactly d.
     """
-    if d < 0 or r < 0:
-        raise ValueError("d and r must be nonnegative")
+    if (type(d) is bool or type(r) is bool or not isinstance(d, int) or not isinstance(r, int)
+            or d < 0 or r < 0):
+        raise ValueError("d and r must be nonnegative integers")
     interior = tri.interior_edges()
     n_tri = len(tri.triangles)
     mono = _monomials_exact(3, d)

@@ -13,11 +13,11 @@ from typing import Iterable
 
 
 def _multiplicities(a: Iterable[int]) -> tuple[int, ...]:
-    seq = tuple(int(x) for x in a)
+    seq = tuple(a)
     if not seq:
         raise ValueError("empty multiplicity sequence")
-    if any(x < 0 for x in seq):
-        raise ValueError("multiplicities must be nonnegative")
+    if any(type(x) is bool or not isinstance(x, int) or x < 0 for x in seq):
+        raise ValueError(f"multiplicities must be nonnegative integers, got {seq!r}")
     # ascending order is what the prefix criterion below assumes
     return tuple(sorted(seq))
 
@@ -42,8 +42,9 @@ def in_membership(a: Iterable[int], expo_x: int, expo_y: int) -> bool:
     beaten: sum_{i<=j} a_i < j*A + (j-1)*B for some j.
     """
     mults = _multiplicities(a)
-    if expo_x < 0 or expo_y < 0:
-        raise ValueError("negative exponent")
+    if (type(expo_x) is bool or type(expo_y) is bool or not isinstance(expo_x, int)
+            or not isinstance(expo_y, int) or expo_x < 0 or expo_y < 0):
+        raise ValueError(f"exponents must be nonnegative integers, got {expo_x!r}, {expo_y!r}")
     prefix = 0
     for j, ai in enumerate(mults, start=1):
         prefix += ai
@@ -81,8 +82,9 @@ class TiePair:
     r: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.s <= self.t <= self.r + 1:
-            raise ValueError(f"need 2 <= s <= t <= r+1, got s={self.s} t={self.t} r={self.r}")
+        if (any(type(x) is bool or not isinstance(x, int) for x in (self.s, self.t, self.r))
+                or not 2 <= self.s <= self.t <= self.r + 1):
+            raise ValueError(f"need integers 2 <= s <= t <= r+1, got {self!r}")
 
 
 def homology_dim(tp: TiePair, d: int) -> int:

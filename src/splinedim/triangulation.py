@@ -426,36 +426,32 @@ def is_quasi_cross_cut(tri: Triangulation) -> bool:
     """Whether every interior edge extends along collinear mesh edges to the boundary.
 
     Edges of equal slope sharing a vertex are collinear, so each interior edge
-    sits in a maximal straight chain; the mesh is quasi-cross-cut when every
-    such chain touches a boundary vertex.
+    sits in a maximal straight chain.  An interior edge that is not totally
+    interior has a boundary endpoint, so only chains through totally interior
+    edges (ties) can miss the boundary: walk from each tie not yet seen along
+    its slope through interior vertices, stopping at boundary ones.  One seen
+    set serves all walks: a walk expands every same-slope edge at each
+    interior vertex it reaches, so no later walk can step onto its edges.
     """
-    idxs = [i for i, e in enumerate(tri.edges) if e.kind == "interior"]
-    parent = {i: i for i in idxs}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_slope_vertex: dict[tuple[Slope, int], int] = {}
-    for i in idxs:
-        e = tri.edges[i]
-        for v in (e.u, e.v):
-            key = (e.slope, v)
-            if key in by_slope_vertex:
-                ra, rb = find(by_slope_vertex[key]), find(i)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                by_slope_vertex[key] = i
-    touches: dict[int, bool] = {}
-    for i in idxs:
-        e = tri.edges[i]
-        root = find(i)
-        hit = tri.vertex_kind[e.u] == "boundary" or tri.vertex_kind[e.v] == "boundary"
-        touches[root] = touches.get(root, False) or hit
-    return all(touches.values())
+    seen: set[int] = set()
+    for i, tie in enumerate(tri.edges):
+        if not tie.totally_interior or i in seen:
+            continue
+        seen.add(i)
+        stack, reached = [tie.u, tie.v], False
+        while stack:
+            v = stack.pop()
+            if tri.vertex_kind[v] == "boundary":
+                reached = True
+                continue
+            for j in tri.edges_at[v]:
+                e = tri.edges[j]
+                if e.slope == tie.slope and j not in seen:
+                    seen.add(j)
+                    stack.append(e.u + e.v - v)
+        if not reached:
+            return False
+    return True
 
 
 def extract_one_tie_params(tri: Triangulation) -> OneTieParams:

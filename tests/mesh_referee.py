@@ -1,9 +1,14 @@
-"""The mesh validator build() used before the local certificate, kept as a referee.
+"""Earlier implementations of mesh checks, kept as referees.
 
-It works on Fractions and compares every edge with every vertex (hanging
-vertices) and with every other edge (proper crossings), so it costs
-O(E * V + E^2).  The differential tests check that it and build() accept
-and reject the same meshes.
+referee_validate is the validator build() used before the local
+certificate.  It works on Fractions and compares every edge with every
+vertex (hanging vertices) and with every other edge (proper crossings), so
+it costs O(E * V + E^2).  The differential tests check that it and build()
+accept and reject the same meshes.
+
+referee_quasi_cross_cut is the union-find over every interior edge that
+is_quasi_cross_cut ran before it walked only the chains through totally
+interior edges.
 """
 
 from __future__ import annotations
@@ -125,3 +130,35 @@ def referee_validate(vertices: Sequence[Sequence], triangles: Sequence[Sequence[
         raise tg.DisconnectedOrHoley("triangles are not edge-connected")
     if len(pts) - len(edge_map) + len(tris) != 1:
         raise tg.DisconnectedOrHoley("Euler characteristic is not that of a disk")
+
+
+def referee_quasi_cross_cut(tri: tg.Triangulation) -> bool:
+    """Union interior edges of equal slope at a shared vertex; every class must
+    hold an edge with a boundary endpoint."""
+    idxs = [i for i, e in enumerate(tri.edges) if e.kind == "interior"]
+    parent = {i: i for i in idxs}
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    by_slope_vertex: dict[tuple[tg.Slope, int], int] = {}
+    for i in idxs:
+        e = tri.edges[i]
+        for v in (e.u, e.v):
+            key = (e.slope, v)
+            if key in by_slope_vertex:
+                ra, rb = find(by_slope_vertex[key]), find(i)
+                if ra != rb:
+                    parent[ra] = rb
+            else:
+                by_slope_vertex[key] = i
+    touches: dict[int, bool] = {}
+    for i in idxs:
+        e = tri.edges[i]
+        root = find(i)
+        hit = tri.vertex_kind[e.u] == "boundary" or tri.vertex_kind[e.v] == "boundary"
+        touches[root] = touches.get(root, False) or hit
+    return all(touches.values())

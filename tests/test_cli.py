@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from splinedim import cli
+from splinedim import cli, oracle
 from splinedim import triangulation as tg
 
 import conftest
@@ -104,6 +104,23 @@ def test_table_verify_mismatch_exit(capsys, monkeypatch):
                        "--verify")
     assert code == 3
     assert ",no" in out
+
+
+def test_table_oracle_verify_runs_the_oracle_once_per_row(capsys, monkeypatch):
+    calls = []
+    real = oracle.dim_spline_oracle
+
+    def counted(tri, d, r, allow_large=False):
+        calls.append(d)
+        return real(tri, d, r, allow_large=allow_large)
+
+    monkeypatch.setattr(oracle, "dim_spline_oracle", counted)
+    code, out, _ = run(capsys, "table", "tohaneanu", "--r", "1", "--dmax", "5",
+                       "--method", "oracle", "--verify")
+    assert code == 0
+    assert calls == list(range(6))
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(row[5] == "oracle" and row[6] == row[4] and row[7] == "yes" for row in rows[1:])
 
 
 def test_table_tsv_and_pretty(capsys):

@@ -102,6 +102,15 @@ def test_f_explicit_golden_values():
     assert dm.f_explicit(3, 4, 12, 8) == 1
 
 
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: dm.f_explicit(1, 4, 12, 8), ValueError, id="f_explicit-s-below-2"),
+    pytest.param(lambda: dm.f_explicit(4, 3, 12, 8), ValueError, id="f_explicit-s-above-t"),
+])
+def test_argument_contracts(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_f_explicit_out_of_branch():
     with pytest.raises(dm.OutOfBranch):
         dm.f_explicit(3, 4, 8, 6)  # below the threshold

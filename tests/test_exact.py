@@ -268,3 +268,11 @@ def test_pivot_rows_are_an_echelon_basis(dense):
     assert len(pivots) == _referee_rank(sparse, nc)
     assert _referee_rank(pivots + sparse, nc) == len(pivots)
     assert sparse == before
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: kernel_dim_sparse([], -1), ValueError, id="kernel_dim_sparse-negative-ncols"),
+])
+def test_argument_contracts(call, error):
+    with pytest.raises(error):
+        call()

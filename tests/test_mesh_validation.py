@@ -4,19 +4,22 @@ The referee (mesh_referee.referee_validate) is the Fraction validator with
 the quadratic crossing and hanging-vertex scans.  Both must accept the
 same meshes: generated valid ones (jittered rational grids, rational
 affine images, one-tie stars), hand-made broken ones, and random
-perturbations and triangle soups that are mostly broken.
+perturbations and triangle soups that are mostly broken.  On the accepted
+ones, is_quasi_cross_cut must agree with the union-find referee
+(mesh_referee.referee_quasi_cross_cut).
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from splinedim import dimension as dm
 from splinedim import triangulation as tg
 
 import conftest
-from mesh_referee import _orient as referee_orient, referee_validate
+from mesh_referee import _orient as referee_orient, referee_quasi_cross_cut, referee_validate
 
 
 def _verdict(check, verts, tris):
@@ -230,6 +233,43 @@ def test_invalid_meshes_agree(name):
     verts, tris, cls = conftest.INVALID_MESHES[name]
     assert _verdict(referee_validate, verts, tris) is cls
     assert _verdict(tg.build, verts, tris) is cls
+
+
+# ------------------------------------------------------- quasi-cross-cut
+
+@st.composite
+def plain_grids(draw):
+    """A type-1 grid of up to 6 x 6 cells: quasi-cross-cut, with long chains
+    of totally interior edges that reach the boundary."""
+    return conftest.grid_data(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+
+
+def _data(tri):
+    return [(p.x, p.y) for p in tri.vertices], tri.triangles
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(valid_meshes, glued_ears(), plain_grids(), affine_images(plain_grids())),
+       st.integers(0, 8))
+@example(_data(conftest.two_tie_strip()), 3)
+@example(_data(conftest.slope_collision_star()), 4)
+@example(_data(conftest.cross_cut_square()), 2)
+@example(_data(conftest.square_pair()), 1)
+def test_quasi_cross_cut_walk_matches_union_find(mesh, r):
+    try:
+        tri = tg.build(*mesh)
+    except tg.MeshError:
+        reject()
+    qcc = referee_quasi_cross_cut(tri)
+    assert tg.is_quasi_cross_cut(tri) == qcc
+    # classify refuses exactly the meshes that are neither quasi-cross-cut nor one-tie
+    unsupported = not qcc and len(tri.totally_interior_edges()) != 1
+    try:
+        dm.classify(tri, r)
+    except dm.UnsupportedTopology:
+        assert unsupported
+    else:
+        assert not unsupported
 
 
 # ------------------------------------------------------------------ scale

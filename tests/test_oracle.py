@@ -92,6 +92,36 @@ def test_oracle_negative_degree(fig2):
         orc.dim_spline_oracle(fig2, 3, -2)
 
 
+_MIDX2 = {m: k for k, m in enumerate(orc._monomials_exact(2, 2))}
+_PAIR = ([((1, 0, 1), 2)], [((0, 1, 1), 2)], (0, 0, 1))
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: orc.hilbert_ideal_oracle([((1, 0), 2)], -1), 0, id="ideal-negative-d"),
+    pytest.param(lambda: orc.hilbert_colon_oracle([((1, 0), 2)], (0, 1), -1, 3), ValueError,
+                 id="colon-negative-e"),
+    pytest.param(lambda: orc.hilbert_colon_oracle([((1, 0), 2)], (0, 1), 1, -1), 0,
+                 id="colon-negative-d"),
+    pytest.param(lambda: orc.colon_pair_dims(*_PAIR, -1, 2), ValueError, id="pair-negative-e"),
+    pytest.param(lambda: orc.colon_pair_dims(*_PAIR, 1, -1), (0, 0, 0), id="pair-negative-d"),
+    pytest.param(lambda: orc._multiple_rows([((1, 0, 0), 1)], 2, _MIDX2, 2), ValueError,
+                 id="rows-arity-mismatch"),
+    pytest.param(lambda: orc._multiple_rows([((1, 0), -1)], 2, _MIDX2, 2), ValueError,
+                 id="rows-negative-exponent"),
+    # bool and float degrees are refused as dim() refuses them
+    pytest.param(lambda: orc.dim_spline_oracle(tg.load_bundled("figure2"), True, False),
+                 ValueError, id="spline-bool-degree"),
+    pytest.param(lambda: orc.dim_spline_oracle(tg.load_bundled("figure2"), 4.0, 1),
+                 ValueError, id="spline-float-degree"),
+])
+def test_argument_contracts(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
+
+
 # -------------------------------------------------------- ideal oracle
 
 def test_hilbert_ideal_oracle_distinct_powers():

@@ -209,6 +209,22 @@ def test_min_generators_of_colon_r6():
     assert gens == sorted([(2, 0), (1, 1), (0, 3)])
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: hilbert_colon((2, 3), -1, 4), id="hilbert_colon-negative-e"),
+    pytest.param(lambda: colon_membership((2, 3), -1, 0, 0), id="colon_membership-negative-e"),
+    # integer arguments only: int() or a bool would answer for another input
+    pytest.param(lambda: hilbert_power_ideal([2.7, 1], 5), id="multiplicity-float"),
+    pytest.param(lambda: hilbert_power_ideal(["2", True], 5), id="multiplicity-str-bool"),
+    pytest.param(lambda: in_membership([1, 2], 1.5, 1), id="in_membership-float-exponent"),
+    pytest.param(lambda: in_membership([1, 2], 1, True), id="in_membership-bool-exponent"),
+    pytest.param(lambda: TiePair(2, 2, True), id="TiePair-bool-r"),
+    pytest.param(lambda: TiePair(2.0, 2, 3), id="TiePair-float-s"),
+])
+def test_argument_contracts(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # ------------------------------------------------------------- TiePair
 
 def test_tie_pair_validation():

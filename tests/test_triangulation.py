@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splinedim import dimension as dm
+from splinedim import oracle as orc
 from splinedim import triangulation as tg
 
 import conftest
@@ -123,6 +124,20 @@ def test_tohaneanu_params(toh):
     assert dm._trivial_reason(p, 1) is None
 
 
+def test_params_swap_endpoints_to_put_fewer_slopes_first(fig2):
+    # with vertices 0 and 1 relabelled, the tie's first endpoint carries t = 4 slopes
+    swap = {0: 1, 1: 0}
+    tri = tg.build([fig2.vertices[swap.get(i, i)] for i in range(len(fig2.vertices))],
+                   [tuple(swap.get(i, i) for i in t) for t in fig2.triangles])
+    p = tg.extract_one_tie_params(tri)
+    assert (p.v1, p.v2) == (1, 0)
+    assert (p.p, p.q, p.s, p.t) == (6, 5, 3, 4)
+    for r in range(1, 9):
+        for d in range(20):
+            assert dm.dim(tri, d, r) == dm.dim(fig2, d, r), (d, r)
+    assert orc.dim_spline_oracle(tri, 12, 8) == 135
+
+
 def test_extract_params_requires_unique_tie():
     with pytest.raises(tg.NoTotallyInteriorEdge):
         tg.extract_one_tie_params(conftest.square_pair())
@@ -137,6 +152,17 @@ def test_one_tie_params_validation():
     with pytest.raises(ValueError):
         tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=5, q=4, s=4, t=3,
                         trivial_slope_collision=False)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=3, q=3, s=3, t=4,
+                                         trivial_slope_collision=False),
+                 ValueError, id="OneTieParams-t-above-q"),
+    pytest.param(lambda: tg.load_bundled("nosuch"), FileNotFoundError, id="load_bundled-unknown"),
+])
+def test_argument_contracts(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # ------------------------------------------------------ build rejects
