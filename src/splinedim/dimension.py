@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import triangulation as tg
-from .exact import binom
+from .exact import binom, is_int
 from .power_ideal import TiePair, degree_thresholds, homology_dim, homology_regularity
 
 
@@ -33,7 +33,7 @@ class UnsupportedTopology(DimensionError):
 
 
 def _check_dr(d: int, r: int) -> None:
-    if type(d) is bool or type(r) is bool or not isinstance(d, int) or not isinstance(r, int):
+    if not (is_int(d) and is_int(r)):
         raise ValueError("d and r must be integers")
     if d < 0 or r < 0:
         raise ValueError("d and r must be nonnegative")
@@ -157,8 +157,8 @@ def f_explicit(s: int, t: int, d: int, r: int) -> int:
     Only valid strictly between the two degree thresholds; raises OutOfBranch
     elsewhere.  Each summand is clamped at zero.
     """
-    if not 2 <= s <= t:
-        raise ValueError("need 2 <= s <= t")
+    if not (is_int(s) and is_int(t) and 2 <= s <= t):
+        raise ValueError("need integers 2 <= s <= t")
     _check_dr(d, r)
     low, high = degree_thresholds(s, t, r)
     if not low < d <= high:

@@ -11,8 +11,10 @@ RationalLike = Union[int, Fraction, str]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
-# Row entries above this bit length trigger a content-gcd strip.
-_STRIP_BITS = 512
+
+def is_int(value: object) -> bool:
+    """Whether value is an int and not a bool: True is no degree, index or count."""
+    return type(value) is not bool and isinstance(value, int)
 
 
 def parse_rational(value: RationalLike) -> Fraction:
@@ -62,9 +64,9 @@ def pivot_rows(rows: Sequence[dict[int, int]]) -> Iterator[dict[int, int]]:
     swept in ascending order, so the bucket of the current column holds every
     live row that leads there.  Its pivot has the shortest leading entry, then
     the fewest entries, and is yielded as soon as it is chosen; it is never
-    changed afterwards.  Every other row is combined with it fraction-free
-    (the gcd of the cofactors divided out) and moves to its new leading
-    column's bucket.  Pivot choice affects coefficient growth only.
+    changed afterwards.  Every other row becomes (p/g)*row - (v/g)*pivot, g the
+    gcd of the two leading entries p and v (in place when p/g is 1), and moves
+    to its new leading column's bucket.  Pivot choice affects growth only.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     cols: set[int] = set()
@@ -77,45 +79,23 @@ def pivot_rows(rows: Sequence[dict[int, int]]) -> Iterator[dict[int, int]]:
         bucket = buckets.pop(col, None)
         if bucket is None:
             continue
-        if len(bucket) == 1:
-            yield bucket[0]
-            continue
         prow = min(bucket, key=lambda row: (abs(row[col]).bit_length(), len(row)))
         yield prow
         pval = prow[col]
         for row in bucket:
             if row is prow:
                 continue
-            v = row[col]
-            g = math.gcd(pval, v)
-            mr = pval // g
-            mv = v // g
-            if mr == 1:
-                new = row
-            elif mr == -1:
-                new = {c2: -w for c2, w in row.items()}
-            else:
-                new = {c2: mr * w for c2, w in row.items()}
-            maxbits = 0
+            g = math.gcd(pval, row[col])
+            mr, mv = pval // g, row[col] // g
+            new = row if mr == 1 else {c2: mr * w for c2, w in row.items()}
             for c2, w in prow.items():
                 x = new.get(c2, 0) - mv * w
                 if x:
                     new[c2] = x
-                    if x.bit_length() > maxbits:
-                        maxbits = x.bit_length()
                 elif c2 in new:
                     del new[c2]
-            if not new:
-                continue
-            if maxbits > _STRIP_BITS:
-                content = 0
-                for w in new.values():
-                    content = math.gcd(content, w)
-                    if content == 1:
-                        break
-                if content > 1:
-                    new = {c2: w // content for c2, w in new.items()}
-            buckets.setdefault(min(new), []).append(new)
+            if new:
+                buckets.setdefault(min(new), []).append(new)
 
 
 def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
@@ -125,8 +105,8 @@ def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
 
 def kernel_dim_sparse(rows: Sequence[dict[int, int]], ncols: int) -> int:
     """Nullity of sparse integer rows whose columns all lie in 0..ncols-1."""
-    if ncols < 0:
-        raise ValueError("negative column count")
+    if not is_int(ncols) or ncols < 0:
+        raise ValueError(f"column count must be a nonnegative integer, got {ncols!r}")
     cols = {c for row in rows for c in row}
     if cols and (min(cols) < 0 or max(cols) >= ncols):
         raise ValueError(f"row columns {min(cols)}..{max(cols)} outside 0..{ncols - 1}")

@@ -14,7 +14,7 @@ from operator import add
 from typing import Sequence
 
 from . import triangulation as tg
-from .exact import kernel_dim_sparse, parse_rational, pivot_rows, rank_sparse
+from .exact import is_int, kernel_dim_sparse, parse_rational, pivot_rows, rank_sparse
 
 
 class OracleError(Exception):
@@ -81,8 +81,7 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     Polynomials are homogenized as forms in (z, x, y), so a polynomial of
     degree <= d is a form of degree exactly d.
     """
-    if (type(d) is bool or type(r) is bool or not isinstance(d, int) or not isinstance(r, int)
-            or d < 0 or r < 0):
+    if not (is_int(d) and is_int(r)) or d < 0 or r < 0:
         raise ValueError("d and r must be nonnegative integers")
     interior = tri.interior_edges()
     n_tri = len(tri.triangles)
@@ -123,8 +122,8 @@ def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,
     for coeffs, power in generators:
         if len(tuple(coeffs)) != nvars:
             raise ValueError("generator arity mismatch")
-        if power < 0:
-            raise ValueError("negative generator exponent")
+        if not is_int(power) or power < 0:
+            raise ValueError(f"generator exponent must be a nonnegative integer, got {power!r}")
         form = _int_linear_form(coeffs)
         if power > d:
             continue
@@ -140,6 +139,8 @@ def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> 
     Generators are (coefficient vector, exponent) pairs, all in the same
     number of variables; the value is the rank of all monomial multiples.
     """
+    if not is_int(d):
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d < 0:
         return 0
     if not generators:
@@ -162,6 +163,8 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     Computed as the kernel dimension of multiplication by form^e into the
     quotient by the ideal, using ranks only.
     """
+    if not (is_int(e) and is_int(d)):
+        raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
     if e < 0:
         raise ValueError("negative colon exponent")
     if d < 0:
@@ -180,6 +183,8 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     The intersection comes from the rank of the map sending f to the pair of
     classes of f*form^e in the two quotients, stacked side by side.
     """
+    if not (is_int(e) and is_int(d)):
+        raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
     if e < 0:
         raise ValueError("negative colon exponent")
     if d < 0:
@@ -213,6 +218,8 @@ def homology_dim_oracle(s: int, t: int, r: int, b: Sequence, c: Sequence, d: int
     interior edge.  The gap in degree d is the codimension of the sum of the
     two colon ideals' pieces in degree d - r - 1.
     """
+    if not all(map(is_int, (s, t, r, d))):
+        raise ValueError(f"s, t, r and d must be integers, got {s!r}, {t!r}, {r!r}, {d!r}")
     if r < 0:
         raise ValueError("r must be nonnegative")
     bs = _validated_slopes(b, "first endpoint")

@@ -11,12 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .exact import is_int
+
 
 def _multiplicities(a: Iterable[int]) -> tuple[int, ...]:
     seq = tuple(a)
     if not seq:
         raise ValueError("empty multiplicity sequence")
-    if any(type(x) is bool or not isinstance(x, int) or x < 0 for x in seq):
+    if any(not is_int(x) or x < 0 for x in seq):
         raise ValueError(f"multiplicities must be nonnegative integers, got {seq!r}")
     # ascending order is what the prefix criterion below assumes
     return tuple(sorted(seq))
@@ -30,6 +32,8 @@ def hilbert_power_ideal(a: Iterable[int], d: int) -> int:
     degree d slice of dimension min(d + 1, sum_i max(d - a_i, 0)).
     """
     mults = _multiplicities(a)
+    if not is_int(d):
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d < 0:
         return 0
     return min(d + 1, sum(d - ai for ai in mults if ai < d))
@@ -42,8 +46,7 @@ def in_membership(a: Iterable[int], expo_x: int, expo_y: int) -> bool:
     beaten: sum_{i<=j} a_i < j*A + (j-1)*B for some j.
     """
     mults = _multiplicities(a)
-    if (type(expo_x) is bool or type(expo_y) is bool or not isinstance(expo_x, int)
-            or not isinstance(expo_y, int) or expo_x < 0 or expo_y < 0):
+    if not (is_int(expo_x) and is_int(expo_y)) or expo_x < 0 or expo_y < 0:
         raise ValueError(f"exponents must be nonnegative integers, got {expo_x!r}, {expo_y!r}")
     prefix = 0
     for j, ai in enumerate(mults, start=1):
@@ -56,6 +59,8 @@ def in_membership(a: Iterable[int], expo_x: int, expo_y: int) -> bool:
 def hilbert_colon(a: Iterable[int], e: int, d: int) -> int:
     """Dimension of the degree d piece of the colon by the e-th power of a new form."""
     mults = _multiplicities(a)
+    if not (is_int(e) and is_int(d)):
+        raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
     if e < 0:
         raise ValueError("negative colon exponent")
     if d < 0:
@@ -66,6 +71,8 @@ def hilbert_colon(a: Iterable[int], e: int, d: int) -> int:
 
 def colon_membership(a: Iterable[int], e: int, expo_x: int, expo_y: int) -> bool:
     """Initial-ideal membership for the colon: shift the y exponent by e."""
+    if not is_int(e):
+        raise ValueError(f"colon exponent must be an integer, got {e!r}")
     if e < 0:
         raise ValueError("negative colon exponent")
     return in_membership(a, expo_x, expo_y + e)
@@ -82,7 +89,7 @@ class TiePair:
     r: int
 
     def __post_init__(self) -> None:
-        if (any(type(x) is bool or not isinstance(x, int) for x in (self.s, self.t, self.r))
+        if (not (is_int(self.s) and is_int(self.t) and is_int(self.r))
                 or not 2 <= self.s <= self.t <= self.r + 1):
             raise ValueError(f"need integers 2 <= s <= t <= r+1, got {self!r}")
 
@@ -93,6 +100,8 @@ def homology_dim(tp: TiePair, d: int) -> int:
     Counts triples (A, B, C) of nonnegative integers with A + B + C = d - (r+1),
     s*A + (s-1)*C <= r + 1 - s and t*B + (t-1)*C <= r + 1 - t.
     """
+    if not is_int(d):
+        raise ValueError(f"d must be an integer, got {d!r}")
     s, t, r = tp.s, tp.t, tp.r
     level = d - (r + 1)
     if level < 0:
@@ -148,14 +157,6 @@ def intersection_initdeg(tp: TiePair) -> int:
     it controls where the supersmoothness identity can stop holding.
     """
     s, t, r = tp.s, tp.t, tp.r
-    best: int | None = None
-    for cc in range(r + 3):
-        gap1 = r + 1 - s - (s - 1) * cc
-        gap2 = r + 1 - t - (t - 1) * cc
-        aa = 0 if gap1 < 0 else gap1 // s + 1
-        bb = 0 if gap2 < 0 else gap2 // t + 1
-        total = aa + bb + cc
-        if best is None or total < best:
-            best = total
-    assert best is not None
-    return best
+    gaps = ((r + 1 - s - (s - 1) * cc, r + 1 - t - (t - 1) * cc, cc) for cc in range(r + 3))
+    # g // n + 1 <= 0 exactly when the gap g is negative
+    return min(max(0, g1 // s + 1) + max(0, g2 // t + 1) + cc for g1, g2, cc in gaps)

@@ -105,6 +105,8 @@ def test_f_explicit_golden_values():
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: dm.f_explicit(1, 4, 12, 8), ValueError, id="f_explicit-s-below-2"),
     pytest.param(lambda: dm.f_explicit(4, 3, 12, 8), ValueError, id="f_explicit-s-above-t"),
+    pytest.param(lambda: dm.f_explicit(2.5, 3, 9, 4), ValueError, id="f_explicit-float-s"),
+    pytest.param(lambda: dm.f_explicit(2, 3.0, 9, 4), ValueError, id="f_explicit-float-t"),
 ])
 def test_argument_contracts(call, error):
     with pytest.raises(error):

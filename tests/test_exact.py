@@ -238,7 +238,8 @@ def test_sparse_rank_matches_referee_with_explicit_zeros(dense):
 
 @given(_dense, st.data())
 def test_sparse_rank_matches_referee_on_huge_entries(dense, data):
-    # entries past _STRIP_BITS make the content strip run
+    # rows scaled by up to 5 * 2**600: entries and reduced rows stay past 600 bits,
+    # and the rank must not depend on their size
     rows, nc = dense
     scales = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 5]),
                                 min_size=len(rows), max_size=len(rows)))
@@ -272,6 +273,8 @@ def test_pivot_rows_are_an_echelon_basis(dense):
 
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: kernel_dim_sparse([], -1), ValueError, id="kernel_dim_sparse-negative-ncols"),
+    pytest.param(lambda: kernel_dim_sparse([], 2.5), ValueError, id="kernel_dim_sparse-float-ncols"),
+    pytest.param(lambda: kernel_dim_sparse([], True), ValueError, id="kernel_dim_sparse-bool-ncols"),
 ])
 def test_argument_contracts(call, error):
     with pytest.raises(error):

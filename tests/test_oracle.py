@@ -113,6 +113,26 @@ _PAIR = ([((1, 0, 1), 2)], [((0, 1, 1), 2)], (0, 0, 1))
                  ValueError, id="spline-bool-degree"),
     pytest.param(lambda: orc.dim_spline_oracle(tg.load_bundled("figure2"), 4.0, 1),
                  ValueError, id="spline-float-degree"),
+    # so are bool and float degrees, exponents and counts in the ideal oracles
+    pytest.param(lambda: orc.hilbert_ideal_oracle([((1, 0), 2)], True), ValueError,
+                 id="ideal-bool-d"),
+    pytest.param(lambda: orc.hilbert_ideal_oracle([((1, 0), 2)], 2.5), ValueError,
+                 id="ideal-float-d"),
+    pytest.param(lambda: orc.hilbert_ideal_oracle([((1, 0), 2.5)], 3), ValueError,
+                 id="ideal-float-exponent"),
+    pytest.param(lambda: orc.hilbert_colon_oracle([((1, 0), 2)], (1, 2), True, 3), ValueError,
+                 id="colon-bool-e"),
+    pytest.param(lambda: orc.hilbert_colon_oracle([((1, 0), 2)], (1, 2), 1.5, 3), ValueError,
+                 id="colon-float-e"),
+    pytest.param(lambda: orc.colon_pair_dims(*_PAIR, 1.5, 2), ValueError, id="pair-float-e"),
+    pytest.param(lambda: orc.homology_dim_oracle(2, 2, True, [1, 2], [3, 4], 3), ValueError,
+                 id="homology-bool-r"),
+    pytest.param(lambda: orc.homology_dim_oracle(2, 2, 1.0, [1, 2], [3, 4], 3), ValueError,
+                 id="homology-float-r"),
+    pytest.param(lambda: orc.homology_dim_oracle(2, 2, 1, [1, 2], [3, 4], 3.0), ValueError,
+                 id="homology-float-d"),
+    pytest.param(lambda: orc.homology_dim_oracle(2.0, 2, 1, [1, 2], [3, 4], 3), ValueError,
+                 id="homology-float-s"),
 ])
 def test_argument_contracts(call, expected):
     if isinstance(expected, type):
@@ -276,6 +296,16 @@ def test_homology_oracle_full_sweep_r3():
             for d in range(0, reg + 2):
                 got = orc.homology_dim_oracle(s, t, r, bank[:s], bank[:t], d)
                 assert got == homology_dim(tp, d), (s, t, d)
+
+
+@pytest.mark.parametrize("r", [20, 30])
+def test_homology_oracle_rational_slopes_large_r(r):
+    # rational slopes at r = 20 and 30: rows in the colon systems pass
+    # thousands of bits during elimination
+    tp = TiePair(4, 5, r)
+    b, c = (1, -2, "3/2", "5/3"), ("-1/2", "7/3", 4, "-5/2", "2/7")
+    for d in range(r + 1, homology_regularity(tp) + 2):
+        assert orc.homology_dim_oracle(4, 5, r, b, c, d) == homology_dim(tp, d), d
 
 
 # ------------------------------------------------- spline-vs-formula

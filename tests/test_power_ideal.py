@@ -219,6 +219,13 @@ def test_min_generators_of_colon_r6():
     pytest.param(lambda: in_membership([1, 2], 1, True), id="in_membership-bool-exponent"),
     pytest.param(lambda: TiePair(2, 2, True), id="TiePair-bool-r"),
     pytest.param(lambda: TiePair(2.0, 2, 3), id="TiePair-float-s"),
+    pytest.param(lambda: hilbert_power_ideal([1, 2], 4.5), id="hilbert_power_ideal-float-d"),
+    pytest.param(lambda: hilbert_power_ideal([1, 2], True), id="hilbert_power_ideal-bool-d"),
+    pytest.param(lambda: hilbert_colon([1, 2], 1.5, 3), id="hilbert_colon-float-e"),
+    pytest.param(lambda: hilbert_colon([1, 2], 1, 2.5), id="hilbert_colon-float-d"),
+    pytest.param(lambda: colon_membership([1, 2], True, 1, 1), id="colon_membership-bool-e"),
+    pytest.param(lambda: homology_dim(TiePair(2, 2, 1), 4.5), id="homology_dim-float-d"),
+    pytest.param(lambda: homology_dim(TiePair(2, 2, 1), True), id="homology_dim-bool-d"),
 ])
 def test_argument_contracts(call):
     with pytest.raises(ValueError):
