@@ -66,18 +66,25 @@ def schumaker_lower_bound(tri: tg.Triangulation, d: int, r: int) -> int:
                         [tg.slope_count(tri, v) for v in tri.interior_vertices], d, r)
 
 
+def _tie_bound(p: int, q: int, s: int, t: int, d: int, r: int, tie: int) -> int:
+    """Lower bound for p + q + tie interior edges and s + tie, t + tie slopes."""
+    if not (is_int(p) and is_int(q) and is_int(s) and is_int(t)):
+        raise ValueError(f"p, q, s and t must be integers, got {p!r}, {q!r}, {s!r}, {t!r}")
+    return _lower_bound(p + q + tie, (s + tie, t + tie), d, r)
+
+
 def schumaker_lower_bound_params(p: int, q: int, s: int, t: int, d: int, r: int) -> int:
     """Lower bound for the one-totally-interior-edge configuration.
 
     The mesh has p + q + 1 interior edges and two interior vertices whose
     stars carry s + 1 and t + 1 slopes (the shared edge included).
     """
-    return _lower_bound(p + q + 1, (s + 1, t + 1), d, r)
+    return _tie_bound(p, q, s, t, d, r, 1)
 
 
 def schumaker_lower_bound_prime(p: int, q: int, s: int, t: int, d: int, r: int) -> int:
     """Lower bound for the companion mesh with the totally interior edge removed."""
-    return _lower_bound(p + q, (s, t), d, r)
+    return _tie_bound(p, q, s, t, d, r, 0)
 
 
 @dataclass(frozen=True)
@@ -154,11 +161,10 @@ def dim_lattice(params: tg.OneTieParams, d: int, r: int) -> DimReport:
 def f_explicit(s: int, t: int, d: int, r: int) -> int:
     """Middle-branch excess over the lower bound, as a single finite sum.
 
-    Only valid strictly between the two degree thresholds; raises OutOfBranch
-    elsewhere.  Each summand is clamped at zero.
+    Needs integers 2 <= s <= t, as degree_thresholds does, and is only valid
+    strictly between the two thresholds; raises OutOfBranch elsewhere.  Each
+    summand is clamped at zero.
     """
-    if not (is_int(s) and is_int(t) and 2 <= s <= t):
-        raise ValueError("need integers 2 <= s <= t")
     _check_dr(d, r)
     low, high = degree_thresholds(s, t, r)
     if not low < d <= high:

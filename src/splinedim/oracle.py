@@ -141,8 +141,6 @@ def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> 
     """
     if not is_int(d):
         raise ValueError(f"d must be an integer, got {d!r}")
-    if d < 0:
-        return 0
     if not generators:
         return 0
     nvars = len(tuple(generators[0][0]))
@@ -167,8 +165,6 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
         raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
     if e < 0:
         raise ValueError("negative colon exponent")
-    if d < 0:
-        return 0
     nvars = len(tuple(form))
     midx = {m: k for k, m in enumerate(_monomials_exact(nvars, d + e))}
     ideal_rows = _multiple_rows(generators, d + e, midx, nvars)
@@ -187,8 +183,6 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
         raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
     if e < 0:
         raise ValueError("negative colon exponent")
-    if d < 0:
-        return (0, 0, 0)
     nvars = len(tuple(form))
     mono_big = _monomials_exact(nvars, d + e)
     midx = {m: k for k, m in enumerate(mono_big)}

@@ -136,6 +136,8 @@ def degree_thresholds(s: int, t: int, r: int) -> tuple[Fraction, Fraction]:
     lower bound; past high = (r+1)/s + (r+1)/t + r - 1 it is the plain lower
     bound; in between a finite sum adds to the plain bound.
     """
+    if not (is_int(s) and is_int(t) and is_int(r) and 2 <= s <= t and r >= 0):
+        raise ValueError(f"need integers 2 <= s <= t and r >= 0, got {s!r}, {t!r}, {r!r}")
     return (Fraction(t * r, s * (t - 1)) + r,
             Fraction(r + 1, s) + Fraction(r + 1, t) + r - 1)
 

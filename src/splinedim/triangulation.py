@@ -12,8 +12,8 @@ of each interior edge on opposite sides of it, one fan winding once
 around each interior vertex, and a boundary that is one simple cycle,
 found by sweeping the boundary segments by x.  All predicates run on
 integers, after scaling the vertices by the lcm of their denominators.
-build()'s docstring gives the check order and the exception each check
-raises.
+Together they certify a disk, so no other check is needed.  build()'s
+docstring gives the check order, each check's exception and the proof.
 """
 
 from __future__ import annotations
@@ -265,17 +265,21 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
        segment, EdgeCrossing when two segments cross properly.
     7. DisconnectedOrHoley: no boundary edges, a boundary vertex with
        other than two boundary edges, or more than one boundary cycle.
-    8. DisconnectedOrHoley: the triangles are not edge-connected, or the
-       Euler characteristic is not 1.
 
     Checks 1-4, 6 and 7 certify an embedded disk.  Every triangle is
     positively oriented and the two triangles of each interior edge
     cancel along it, so the number of triangles covering a point off the
     edges is the winding number of the boundary cycle around it; the
     boundary is one simple polygon, so that number is 1 inside and 0
-    outside.  The fan check is therefore implied once 6 and 7 pass; it
-    runs before them to name the vertex where a fan folds over itself.
-    The cost is O(V + T) besides sorting and sweeping the boundary.
+    outside.  The triangles thus tile a disk, and V - E + T = 1.  They
+    are edge-connected too: a component has an edge on only one of its
+    triangles, which is then a boundary edge, and an even number of them
+    at each vertex, the two ends of each chain of its triangles there.
+    So both boundary edges at a boundary vertex lie in one component,
+    and the single boundary cycle leaves none for a second component.
+    The fan check is thus implied once 6 and 7 pass; it runs before them
+    to name the vertex where a fan folds over itself.  The cost is
+    O(V + T) besides sorting and sweeping the boundary.
     """
     pts: list[Point2] = []
     for i, raw in enumerate(vertices):
@@ -371,26 +375,6 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
         steps += 1
     if steps != len(boundary_keys):
         raise DisconnectedOrHoley("boundary is not a single cycle")
-
-    # flood fill across shared edges; a valid disk is edge-connected
-    adj: dict[int, list[int]] = {}
-    for incid in edge_map.values():
-        if len(incid) == 2:
-            (t1, _), (t2, _) = incid
-            adj.setdefault(t1, []).append(t2)
-            adj.setdefault(t2, []).append(t1)
-    reached = {0}
-    stack = [0]
-    while stack:
-        for nb in adj.get(stack.pop(), ()):
-            if nb not in reached:
-                reached.add(nb)
-                stack.append(nb)
-    if len(reached) != len(tris):
-        raise DisconnectedOrHoley("triangles are not edge-connected")
-
-    if len(pts) - len(edge_map) + len(tris) != 1:
-        raise DisconnectedOrHoley("Euler characteristic is not that of a disk")
 
     kinds = tuple("boundary" if i in on_boundary else "interior" for i in range(len(pts)))
 

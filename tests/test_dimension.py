@@ -107,6 +107,12 @@ def test_f_explicit_golden_values():
     pytest.param(lambda: dm.f_explicit(4, 3, 12, 8), ValueError, id="f_explicit-s-above-t"),
     pytest.param(lambda: dm.f_explicit(2.5, 3, 9, 4), ValueError, id="f_explicit-float-s"),
     pytest.param(lambda: dm.f_explicit(2, 3.0, 9, 4), ValueError, id="f_explicit-float-t"),
+    pytest.param(lambda: dm.schumaker_lower_bound_params(6.5, 5, 3, 4, 12, 8), ValueError,
+                 id="bound_params-float-p"),
+    pytest.param(lambda: dm.schumaker_lower_bound_params(True, 5, 3, 4, 12, 8), ValueError,
+                 id="bound_params-bool-p"),
+    pytest.param(lambda: dm.schumaker_lower_bound_prime(6, 5, 3, 4.0, 12, 8), ValueError,
+                 id="bound_prime-float-t"),
 ])
 def test_argument_contracts(call, error):
     with pytest.raises(error):

@@ -154,7 +154,11 @@ def triangle_soups(draw):
 
 # ------------------------------------------------------------ differential
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# These two guard build's certificate against the referee, so they take the
+# loaded profile's count when it is larger (--hypothesis-profile=ci: 1000).
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(valid_meshes)
 def test_valid_meshes_accepted_by_both(mesh):
     verts, tris = mesh
@@ -172,7 +176,8 @@ def test_one_tie_stars_have_one_tie(mesh):
     assert tri.interior_vertices == (0, 1)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(perturbed_meshes(), glued_ears(), triangle_soups()))
 def test_broken_meshes_agree(mesh):
     _assert_agree(*mesh)
@@ -202,6 +207,15 @@ ADVERSARIAL = {
                                    [(0, 1, 2), (3, 4, 5)], tg.HangingVertex),
     "bowtie-pinch": ([(-2, -1), (0, 0), (-2, 1), (2, -1), (2, 1)],
                      [(0, 1, 2), (1, 3, 4)], tg.DisconnectedOrHoley),
+    # a 3 x 3 square with a 1 x 1 hole: one edge-connected piece, V - E + T = 0
+    "annulus": ([(0, 0), (3, 0), (3, 3), (0, 3), (1, 1), (2, 1), (2, 2), (1, 2)],
+                [(0, 1, 5), (0, 5, 4), (1, 2, 6), (1, 6, 5),
+                 (2, 3, 7), (2, 7, 6), (3, 0, 4), (3, 4, 7)], tg.DisconnectedOrHoley),
+    # a triangle inside a closed fan, at its centre: two pieces sharing a vertex, no pinch
+    "nested-at-fan-centre": ([(0, 0), (4, 0), (0, 4), (-4, 0), (0, -4),
+                              (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2))],
+                             [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (0, 5, 6)],
+                             tg.DisconnectedOrHoley),
     "poke-across-boundary": conftest.INVALID_MESHES["crossing"],
     # (1, 1) lies inside the diagonal of a square, which borders two triangles
     "vertex-in-interior-edge": ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (3, 1)],

@@ -104,6 +104,15 @@ _PAIR = ([((1, 0, 1), 2)], [((0, 1, 1), 2)], (0, 0, 1))
                  id="colon-negative-d"),
     pytest.param(lambda: orc.colon_pair_dims(*_PAIR, -1, 2), ValueError, id="pair-negative-e"),
     pytest.param(lambda: orc.colon_pair_dims(*_PAIR, 1, -1), (0, 0, 0), id="pair-negative-d"),
+    # generators, form and exponents are checked at d < 0 as at any other degree
+    pytest.param(lambda: orc.hilbert_ideal_oracle([((0, 0), 2)], -1), ValueError,
+                 id="ideal-negative-d-zero-form"),
+    pytest.param(lambda: orc.hilbert_ideal_oracle([((1, 0), -1)], -1), ValueError,
+                 id="ideal-negative-d-negative-exponent"),
+    pytest.param(lambda: orc.hilbert_colon_oracle([((0, 0), 2)], (1, 1), 1, -1), ValueError,
+                 id="colon-negative-d-zero-form"),
+    pytest.param(lambda: orc.colon_pair_dims([((0, 0, 0), 2)], [((0, 1, 1), 2)], (0, 0, 1), 1, -1),
+                 ValueError, id="pair-negative-d-zero-form"),
     pytest.param(lambda: orc._multiple_rows([((1, 0, 0), 1)], 2, _MIDX2, 2), ValueError,
                  id="rows-arity-mismatch"),
     pytest.param(lambda: orc._multiple_rows([((1, 0), -1)], 2, _MIDX2, 2), ValueError,

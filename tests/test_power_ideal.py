@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from splinedim.power_ideal import (
     TiePair,
     colon_membership,
+    degree_thresholds,
     hilbert_colon,
     hilbert_power_ideal,
     homology_dim,
@@ -226,6 +227,13 @@ def test_min_generators_of_colon_r6():
     pytest.param(lambda: colon_membership([1, 2], True, 1, 1), id="colon_membership-bool-e"),
     pytest.param(lambda: homology_dim(TiePair(2, 2, 1), 4.5), id="homology_dim-float-d"),
     pytest.param(lambda: homology_dim(TiePair(2, 2, 1), True), id="homology_dim-bool-d"),
+    # integers 2 <= s <= t and r >= 0 only, the range f_explicit relies on
+    pytest.param(lambda: degree_thresholds(True, 3, 4), id="degree_thresholds-bool-s"),
+    pytest.param(lambda: degree_thresholds(2.5, 3, 4), id="degree_thresholds-float-s"),
+    pytest.param(lambda: degree_thresholds(2, 1, 3), id="degree_thresholds-t-below-2"),
+    pytest.param(lambda: degree_thresholds(0, 2, 3), id="degree_thresholds-s-zero"),
+    pytest.param(lambda: degree_thresholds(3, 2, 3), id="degree_thresholds-s-above-t"),
+    pytest.param(lambda: degree_thresholds(2, 3, -1), id="degree_thresholds-negative-r"),
 ])
 def test_argument_contracts(call):
     with pytest.raises(ValueError):
