@@ -81,8 +81,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         body.append(fields)
     widths = None
     if args.format == "pretty":
-        widths = [max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i])
-                  for i in range(len(header))]
+        widths = [max(len(row[i]) for row in [header, *body]) for i in range(len(header))]
     print(_emit(header, args.format, widths))
     for row in body:
         print(_emit(row, args.format, widths))

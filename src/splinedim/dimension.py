@@ -115,10 +115,10 @@ class Classification(NamedTuple):
 
 
 def _trivial_reason(params: tg.OneTieParams, r: int) -> str | None:
-    """Why the correction vanishes in every degree, or None if it does not."""
+    """Why the correction vanishes in every degree (slope collision or t + 1 >= r + 3), or None."""
     if params.trivial_slope_collision:
         return "shared-edge slope reappears at an endpoint"
-    if params.trivial_many_slopes(r):
+    if params.t + 1 >= r + 3:
         return f"an endpoint carries at least r + 3 = {r + 3} slopes"
     return None
 

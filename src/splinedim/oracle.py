@@ -33,9 +33,9 @@ MAX_COLUMNS = 5000
 
 
 def _monomials_exact(nvars: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree exactly d, in descending lex order."""
-    if nvars == 0:
-        return [()] if d == 0 else []
+    """Exponent tuples of total degree exactly d, in descending lex order; none when d < 0."""
+    if nvars == 0 or d < 0:
+        return [()] if nvars == d == 0 else []
     heads = [((), d)]
     for _ in range(nvars - 1):
         heads = [(head + (a,), rem - a) for head, rem in heads for a in range(rem, -1, -1)]
@@ -88,7 +88,7 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     mono = _monomials_exact(3, d)
     n_poly = len(mono)
     midx = {m: k for k, m in enumerate(mono)}
-    mono_h = _monomials_exact(3, d - r - 1) if d > r else []
+    mono_h = _monomials_exact(3, d - r - 1)
     n_mult = len(mono_h)
     ncols = n_tri * n_poly + len(interior) * n_mult
     if ncols > MAX_COLUMNS and not allow_large:
@@ -221,8 +221,6 @@ def homology_dim_oracle(s: int, t: int, r: int, b: Sequence, c: Sequence, d: int
     if len(bs) != s or len(cs) != t:
         raise ValueError(f"expected {s} and {t} slopes, got {len(bs)} and {len(cs)}")
     ell = d - (r + 1)
-    if ell < 0:
-        return 0
     gens1 = [((1, 0, bi), r + 1) for bi in bs]
     gens2 = [((0, 1, ci), r + 1) for ci in cs]
     dim1, dim2, dim_both = colon_pair_dims(gens1, gens2, (0, 0, 1), r + 1, ell)

@@ -57,16 +57,14 @@ def in_membership(a: Iterable[int], expo_x: int, expo_y: int) -> bool:
 
 
 def hilbert_colon(a: Iterable[int], e: int, d: int) -> int:
-    """Dimension of the degree d piece of the colon by the e-th power of a new form."""
+    """Dimension of the degree d piece of the colon by the e-th power of a new form,
+    max(hilbert_power_ideal(a, d + e) - e, 0); it is 0 for every d < 0."""
     mults = _multiplicities(a)
     if not (is_int(e) and is_int(d)):
         raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
     if e < 0:
         raise ValueError("negative colon exponent")
-    if d < 0:
-        return 0
-    full = min(d + e + 1, sum(max(d + e - ai, 0) for ai in mults))
-    return max(full - e, 0)
+    return max(hilbert_power_ideal(mults, d + e) - e, 0)
 
 
 def colon_membership(a: Iterable[int], e: int, expo_x: int, expo_y: int) -> bool:
@@ -104,8 +102,6 @@ def homology_dim(tp: TiePair, d: int) -> int:
         raise ValueError(f"d must be an integer, got {d!r}")
     s, t, r = tp.s, tp.t, tp.r
     level = d - (r + 1)
-    if level < 0:
-        return 0
     count = 0
     for cc in range(level + 1):
         rem1 = r + 1 - s - (s - 1) * cc

@@ -150,10 +150,6 @@ class OneTieParams:
         if self.s > self.t:
             raise ValueError("params must be normalized with s <= t")
 
-    def trivial_many_slopes(self, r: int) -> bool:
-        """Slope count at an endpoint at or above r + 2 forces the lower bound."""
-        return self.t + 1 >= r + 3
-
 
 @dataclass(frozen=True, eq=False)
 class Triangulation:
@@ -263,8 +259,8 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     6. Simple boundary, swept by x over the edges with one triangle:
        HangingVertex when a segment endpoint lies strictly inside another
        segment, EdgeCrossing when two segments cross properly.
-    7. DisconnectedOrHoley: no boundary edges, a boundary vertex with
-       other than two boundary edges, or more than one boundary cycle.
+    7. DisconnectedOrHoley: a boundary vertex with other than two
+       boundary edges, or more than one boundary cycle.
 
     Checks 1-4, 6 and 7 certify an embedded disk.  Every triangle is
     positively oriented and the two triangles of each interior edge
@@ -280,6 +276,12 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     The fan check is thus implied once 6 and 7 pass; it runs before them
     to name the vertex where a fan folds over itself.  The cost is
     O(V + T) besides sorting and sweeping the boundary.
+
+    Check 3 leaves a boundary edge: were there none, each edge at the
+    lexicographically largest vertex would have triangles on both sides,
+    so the triangles there, wedges of under a half turn, would chain
+    counterclockwise into a closed cycle; but all its neighbours lie in a
+    half-open half plane behind it, where such a chain never closes.
     """
     pts: list[Point2] = []
     for i, raw in enumerate(vertices):
@@ -356,8 +358,6 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     _check_fans(lat, tris, on_boundary)
     _check_simple_boundary(lat, boundary_keys)
 
-    if not boundary_keys:
-        raise DisconnectedOrHoley("no boundary edges")
     bnbrs: dict[int, list[int]] = {}
     for (u, v) in boundary_keys:
         bnbrs.setdefault(u, []).append(v)

@@ -132,6 +132,10 @@ def test_table_tsv_and_pretty(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header.split() == ["r", "d", "L", "H1", "dim", "method"]
+    # with no rows the header alone sets the widths
+    code, out, err = run(capsys, "table", "figure2", "--r", "2", "--dmax", "-1",
+                         "--format", "pretty")
+    assert (code, out, err) == (0, "r  d  L  H1  dim  method\n", "")
 
 
 # ---------------------------------------------------------- regularity

@@ -6,7 +6,9 @@ same meshes: generated valid ones (jittered rational grids, rational
 affine images, one-tie stars), hand-made broken ones, and random
 perturbations and triangle soups that are mostly broken.  On the accepted
 ones, is_quasi_cross_cut must agree with the union-find referee
-(mesh_referee.referee_quasi_cross_cut).
+(mesh_referee.referee_quasi_cross_cut).  On one-tie stars and rational
+affine images of the bundled one-tie meshes, dim(auto) must equal the
+spline oracle.
 """
 
 from fractions import Fraction as F
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from splinedim import dimension as dm
+from splinedim import oracle as orc
 from splinedim import triangulation as tg
 
 import conftest
@@ -216,6 +219,11 @@ ADVERSARIAL = {
                               (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2))],
                              [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (0, 5, 6)],
                              tg.DisconnectedOrHoley),
+    # an octahedron flattened onto the plane: a closed surface with no boundary edge,
+    # so two triangles of some edge at the rightmost vertex lie on one side of it
+    "closed-octahedron": ([(0, 0), (6, 0), (0, 6), (1, 1), (3, 1), (1, 3)],
+                          [(0, 1, 2), (3, 4, 5), (0, 1, 4), (0, 4, 3),
+                           (1, 2, 5), (1, 5, 4), (2, 0, 3), (2, 3, 5)], tg.NonManifoldEdge),
     "poke-across-boundary": conftest.INVALID_MESHES["crossing"],
     # (1, 1) lies inside the diagonal of a square, which borders two triangles
     "vertex-in-interior-edge": ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (3, 1)],
@@ -284,6 +292,47 @@ def test_quasi_cross_cut_walk_matches_union_find(mesh, r):
         assert unsupported
     else:
         assert not unsupported
+
+
+# ------------------------------------------------------- dim against the oracle
+
+_FIG2, _TOH = tg.load_bundled("figure2"), tg.load_bundled("tohaneanu")
+ONE_TIE_BASES = [_FIG2, _TOH, conftest.glue_quad(_FIG2, 2, 10), conftest.glue_quad(_TOH, 3, 4)]
+
+
+@st.composite
+def oracle_meshes(draw):
+    """A mesh paired with the bundled mesh it is an image of, or with None.
+
+    Either a one-tie star or its affine image, quasi-cross-cut through the
+    slope collision at the tie, or a rational affine image of a bundled
+    one-tie mesh, with or without a glued interior vertex.
+    """
+    base = draw(st.one_of(st.none(), st.sampled_from(ONE_TIE_BASES)))
+    if base is None:
+        return None, tg.build(*draw(st.one_of(one_tie_stars(), affine_images(one_tie_stars()))))
+    return base, tg.build(*draw(affine_images(st.just(_data(base)))))
+
+
+def _tie_summary(tri, r):
+    kind, _, params = dm.classify(tri, r)
+    return kind, params and (params.p, params.q, params.s, params.t)
+
+
+# The loaded profile's count when it is larger (--hypothesis-profile=ci: 1000).
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_meshes(), st.integers(0, 3).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(0, 2 * r + 3))))
+# each glued mesh one slope short of trivial (t + 1 = r + 2), where the correction is 1
+@example((ONE_TIE_BASES[2], ONE_TIE_BASES[2]), (3, 4))
+@example((ONE_TIE_BASES[3], ONE_TIE_BASES[3]), (1, 2))
+def test_dim_auto_matches_spline_oracle_on_generated_meshes(mesh, rd):
+    base, tri = mesh
+    r, d = rd
+    assert dm.dim(tri, d, r).total == orc.dim_spline_oracle(tri, d, r)
+    if base is not None:
+        assert _tie_summary(tri, r) == _tie_summary(base, r)
 
 
 # ------------------------------------------------------------------ scale

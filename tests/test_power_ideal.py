@@ -82,6 +82,9 @@ def test_hilbert_colon_values():
     # e = 0 reduces to the plain Hilbert function
     for d in range(12):
         assert hilbert_colon((2, 4, 5), 0, d) == hilbert_power_ideal((2, 4, 5), d)
+    # a negative degree gives 0, whether d + e is negative or not
+    for e, d in ((0, -1), (2, -3), (3, -1), (7, -2), (9, -4)):
+        assert hilbert_colon((1, 1, 2), e, d) == 0
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=5),

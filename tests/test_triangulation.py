@@ -107,8 +107,6 @@ def test_figure2_params(fig2):
     assert (p.p, p.q, p.s, p.t) == (6, 5, 3, 4)
     assert p.tau == (0, 1)
     assert not p.trivial_slope_collision
-    assert p.trivial_many_slopes(2)
-    assert not p.trivial_many_slopes(3)
     assert dm._trivial_reason(p, 2) is not None
     assert dm._trivial_reason(p, 3) is None
     assert dm._trivial_reason(p, 6) is None
@@ -119,8 +117,7 @@ def test_tohaneanu_params(toh):
     assert (p.p, p.q, p.s, p.t) == (4, 4, 2, 2)
     assert not p.trivial_slope_collision
     # t + 1 = 3 >= r + 3 only for r = 0
-    assert p.trivial_many_slopes(0)
-    assert not p.trivial_many_slopes(1)
+    assert dm._trivial_reason(p, 0) is not None
     assert dm._trivial_reason(p, 1) is None
 
 
