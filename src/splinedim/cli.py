@@ -52,21 +52,12 @@ def cmd_dim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit(fields: list[str], fmt: str, widths: list[int] | None = None) -> str:
-    if fmt == "csv":
-        return ",".join(fields)
-    if fmt == "tsv":
-        return "\t".join(fields)
-    assert widths is not None
-    return "  ".join(f.ljust(w) for f, w in zip(fields, widths)).rstrip()
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     tri = _load(args.mesh)
     header = ["r", "d", "L", "H1", "dim", "method"]
     if args.verify:
         header += ["oracle", "match"]
-    body: list[list[str]] = []
+    rows = [header]
     mismatch = False
     for d in range(args.dmax + 1):
         rep = dimension.dim(tri, d, args.r, method=args.method, allow_large=args.allow_large)
@@ -78,13 +69,14 @@ def cmd_table(args: argparse.Namespace) -> int:
             ok = checked == rep.total
             mismatch = mismatch or not ok
             fields += [str(checked), "yes" if ok else "no"]
-        body.append(fields)
-    widths = None
+        rows.append(fields)
     if args.format == "pretty":
-        widths = [max(len(row[i]) for row in [header, *body]) for i in range(len(header))]
-    print(_emit(header, args.format, widths))
-    for row in body:
-        print(_emit(row, args.format, widths))
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        rows = [[f.ljust(w) for f, w in zip(row, widths)] for row in rows]
+    # no csv or tsv field ends in whitespace, so only pretty rows lose any here
+    sep = {"csv": ",", "tsv": "\t", "pretty": "  "}[args.format]
+    for row in rows:
+        print(sep.join(row).rstrip())
     return 3 if mismatch else 0
 
 
@@ -94,10 +86,9 @@ def cmd_regularity(args: argparse.Namespace) -> int:
         print(f"trivial case: {reason}, dim = L for all d")
         return 0
     tp = TiePair(params.s, params.t, args.r)
-    reg = homology_regularity(tp)
     print(f"s={tp.s} t={tp.t} r={tp.r}")
-    print(f"stabilization degree: {reg + 1}")
-    print(f"homology regularity: {reg}")
+    print(f"stabilization degree: {dimension.stabilization_degree(params, args.r)}")
+    print(f"homology regularity: {homology_regularity(tp)}")
     print(f"supersmoothness threshold: {format_rational(supersmoothness_threshold(tp))}")
     print(f"congruence case: {'yes' if congruence_case(tp) else 'no'}")
     return 0

@@ -39,6 +39,11 @@ def _check_dr(d: int, r: int) -> None:
         raise ValueError("d and r must be nonnegative")
 
 
+def _check_r(r: int) -> None:
+    if not is_int(r) or r < 0:
+        raise ValueError(f"r must be a nonnegative integer, got {r!r}")
+
+
 def _lower_bound(n_interior_edges: int, slope_counts: Iterable[int], d: int, r: int) -> int:
     """Schumaker's lower bound from the interior edge count and the slope
     count at each interior vertex.
@@ -129,6 +134,7 @@ def classify(tri: tg.Triangulation, r: int) -> Classification:
     Raises UnsupportedTopology unless the mesh is quasi-cross-cut or has a
     single totally interior edge.
     """
+    _check_r(r)
     if tg.is_quasi_cross_cut(tri):
         return Classification("quasi-cross-cut", "quasi-cross-cut mesh", None)
     ties = tri.totally_interior_edges()
@@ -143,6 +149,7 @@ def classify(tri: tg.Triangulation, r: int) -> Classification:
 
 
 def _require_nontrivial(params: tg.OneTieParams, r: int) -> TiePair:
+    _check_r(r)
     reason = _trivial_reason(params, r)
     if reason is not None:
         raise TrivialCase(f"{reason}; dim equals the lower bound")

@@ -154,6 +154,22 @@ def _colon_dim(basis: list[dict[int, int]], zrows: list[dict[int, int]]) -> int:
     return len(zrows) - (rank_sparse(basis + zrows) - len(basis))
 
 
+def _colon_system(ideals: Sequence, form: Sequence, e: int, d: int) -> tuple[int, list, list]:
+    """The colon oracles' set-up in degree d + e: the monomial count, one echelon
+    basis per ideal (every ideal's rows built before any elimination) and the
+    rows of form^e times each degree-d monomial."""
+    if not (is_int(e) and is_int(d)):
+        raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
+    if e < 0:
+        raise ValueError("negative colon exponent")
+    nvars = len(tuple(form))
+    mono = _monomials_exact(nvars, d + e)
+    midx = {m: k for k, m in enumerate(mono)}
+    ideal_rows = [_multiple_rows(gens, d + e, midx, nvars) for gens in ideals]
+    zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
+    return len(mono), [list(pivot_rows(rows)) for rows in ideal_rows], zrows
+
+
 def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Sequence,
                          e: int, d: int) -> int:
     """Dimension of the degree-d piece of the colon of the ideal by form^e.
@@ -161,15 +177,8 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     Computed as the kernel dimension of multiplication by form^e into the
     quotient by the ideal, using ranks only.
     """
-    if not (is_int(e) and is_int(d)):
-        raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
-    if e < 0:
-        raise ValueError("negative colon exponent")
-    nvars = len(tuple(form))
-    midx = {m: k for k, m in enumerate(_monomials_exact(nvars, d + e))}
-    ideal_rows = _multiple_rows(generators, d + e, midx, nvars)
-    zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
-    return _colon_dim(list(pivot_rows(ideal_rows)), zrows)
+    _, (basis,), zrows = _colon_system([generators], form, e, d)
+    return _colon_dim(basis, zrows)
 
 
 def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple[Sequence, int]],
@@ -179,19 +188,7 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     The intersection comes from the rank of the map sending f to the pair of
     classes of f*form^e in the two quotients, stacked side by side.
     """
-    if not (is_int(e) and is_int(d)):
-        raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
-    if e < 0:
-        raise ValueError("negative colon exponent")
-    nvars = len(tuple(form))
-    mono_big = _monomials_exact(nvars, d + e)
-    midx = {m: k for k, m in enumerate(mono_big)}
-    n_big = len(mono_big)
-    a1 = _multiple_rows(gens1, d + e, midx, nvars)
-    a2 = _multiple_rows(gens2, d + e, midx, nvars)
-    zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
-    b1 = list(pivot_rows(a1))
-    b2 = list(pivot_rows(a2))
+    n_big, (b1, b2), zrows = _colon_system([gens1, gens2], form, e, d)
     # the second quotient's columns sit past the first's, so b1 and b2 stay independent
     both = b1 + [{n_big + k: v for k, v in row.items()} for row in b2]
     paired = [row | {n_big + k: v for k, v in row.items()} for row in zrows]

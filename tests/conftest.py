@@ -1,7 +1,7 @@
-"""Shared fixtures: bundled meshes and a few tiny hand-built ones."""
+"""Shared fixtures: bundled meshes, a few tiny hand-built ones and rational affine images."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings, strategies as st
 
 from splinedim import triangulation as tg
 
@@ -75,6 +75,17 @@ def glue_quad(tri, a, b):
     verts = list(tri.vertices) + [(4, -2), (4, 2), (3, 0)]
     tris = list(tri.triangles) + [(a, b, m), (b, c, m), (c, e, m), (e, a, m)]
     return tg.build(verts, tris)
+
+
+@st.composite
+def affine_images(draw, meshes):
+    """A rational invertible affine image of the (vertices, triangles) pair that meshes draws."""
+    verts, tris = draw(meshes)
+    entry = st.fractions(-3, 3, max_denominator=5)
+    a, b, c, d = (draw(entry) for _ in range(4))
+    assume(a * d != b * c)
+    e, f = draw(entry), draw(entry)
+    return [(a * x + b * y + e, c * x + d * y + f) for x, y in verts], tris
 
 
 def grid_data(n, m):

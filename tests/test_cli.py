@@ -167,6 +167,13 @@ def test_regularity_trivial_many_slopes(capsys):
                            "r + 3 = 5 slopes, dim = L for all d")
 
 
+def test_regularity_negative_r_exits_1(capsys):
+    # dim refuses r < 0, and regularity must not call it a trivial case
+    code, out, err = run(capsys, "regularity", "figure2", "--r", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_regularity_quasi_cross_cut(tmp_path, capsys):
     path = tmp_path / "cc.mesh"
     path.write_text(tg.dump_mesh(conftest.cross_cut_square()))

@@ -6,7 +6,7 @@ and the acceptance suite.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splinedim import dimension as dm
 from splinedim import triangulation as tg
@@ -14,6 +14,10 @@ from splinedim.exact import binom
 from splinedim.power_ideal import TiePair, homology_dim, homology_regularity
 
 import conftest
+from conftest import affine_images
+
+
+_FIG2, _TOH = tg.load_bundled("figure2"), tg.load_bundled("tohaneanu")
 
 
 def _fig2_params():
@@ -113,6 +117,13 @@ def test_f_explicit_golden_values():
                  id="bound_params-bool-p"),
     pytest.param(lambda: dm.schumaker_lower_bound_prime(6, 5, 3, 4.0, 12, 8), ValueError,
                  id="bound_prime-float-t"),
+    pytest.param(lambda: dm.classify(_FIG2, -1), ValueError, id="classify-negative-r"),
+    pytest.param(lambda: dm.classify(_FIG2, 1.5), ValueError, id="classify-float-r"),
+    pytest.param(lambda: dm.classify(_TOH, True), ValueError, id="classify-bool-r"),
+    pytest.param(lambda: dm.classify(conftest.cross_cut_square(), -1), ValueError,
+                 id="classify-quasi-cross-cut-negative-r"),
+    pytest.param(lambda: dm.stabilization_degree(_fig2_params(), -1), ValueError,
+                 id="stabilization_degree-negative-r"),
 ])
 def test_argument_contracts(call, error):
     with pytest.raises(error):
@@ -303,3 +314,47 @@ def test_dim_tohaneanu_supersmooth_range(toh):
             assert rep.total == dm.schumaker_lower_bound_prime(4, 4, 2, 2, d, r)
         rep = dm.dim(toh, 2 * r + 1, r)
         assert rep.correction == 0
+
+
+# ------------------------------------ properties of dim(auto), no oracle
+
+@st.composite
+def bundled_cells(draw):
+    """figure2 or tohaneanu, or a rational affine image of one, with 0 <= r <= 100
+    and 0 <= d <= stabilization degree + 2 (2r + 3 where the case is trivial)."""
+    base = draw(st.sampled_from([_FIG2, _TOH]))
+    tri = base
+    if draw(st.booleans()):
+        verts = [(p.x, p.y) for p in base.vertices]
+        tri = tg.build(*draw(affine_images(st.just((verts, base.triangles)))))
+    r = draw(st.integers(0, 100))
+    kind, _, params = dm.classify(tri, r)
+    top = dm.stabilization_degree(params, r) if kind == "one-tie" else 2 * r + 1
+    return tri, params, draw(st.integers(0, top + 2)), r
+
+
+_cell_settings = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_cell_settings
+@given(bundled_cells())
+def test_dim_falls_as_r_rises(cell):
+    tri, _, d, r = cell
+    assert dm.dim(tri, d, r + 1).total <= dm.dim(tri, d, r).total
+
+
+@_cell_settings
+@given(bundled_cells())
+def test_dim_rises_with_d(cell):
+    tri, _, d, r = cell
+    assert dm.dim(tri, d, r).total <= dm.dim(tri, d + 1, r).total
+
+
+@_cell_settings
+@given(bundled_cells())
+def test_dim_at_least_both_bounds(cell):
+    # L' is the bound of the companion mesh with the totally interior edge removed
+    tri, params, d, r = cell
+    rep = dm.dim(tri, d, r)
+    companion = dm.schumaker_lower_bound_prime(params.p, params.q, params.s, params.t, d, r)
+    assert rep.total >= max(rep.lower_bound, companion)

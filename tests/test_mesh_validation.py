@@ -14,7 +14,7 @@ spline oracle.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from splinedim import dimension as dm
@@ -22,6 +22,7 @@ from splinedim import oracle as orc
 from splinedim import triangulation as tg
 
 import conftest
+from conftest import affine_images
 from mesh_referee import _orient as referee_orient, referee_quasi_cross_cut, referee_validate
 
 
@@ -84,16 +85,6 @@ def one_tie_stars(draw):
         a, b = 2 + k, 2 + (k + 1) % len(ring)
         tris.append((0 if k < bottom - 2 else 1, a, b))
     return verts, tris
-
-
-@st.composite
-def affine_images(draw, meshes):
-    verts, tris = draw(meshes)
-    entry = st.fractions(-3, 3, max_denominator=5)
-    a, b, c, d = (draw(entry) for _ in range(4))
-    assume(a * d != b * c)
-    e, f = draw(entry), draw(entry)
-    return [(a * x + b * y + e, c * x + d * y + f) for x, y in verts], tris
 
 
 valid_meshes = st.one_of(jittered_grids(), one_tie_stars(),
