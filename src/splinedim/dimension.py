@@ -9,7 +9,7 @@ they ever disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import triangulation as tg
 from .exact import binom, is_int
@@ -98,25 +98,11 @@ class DimReport:
     d: int
     lower_bound: int
     correction: int
-    total: int
     method: str
 
-    def __post_init__(self) -> None:
-        if self.total != self.lower_bound + self.correction:
-            raise ValueError("total must equal lower_bound + correction")
-
-
-class Classification(NamedTuple):
-    """How a mesh is treated at smoothness r, and why.
-
-    kind is "quasi-cross-cut" or "trivial-case" (the dimension is the lower
-    bound in every degree) or "one-tie" (the correction term is live);
-    params is None only for quasi-cross-cut meshes.
-    """
-
-    kind: str
-    reason: str
-    params: tg.OneTieParams | None
+    @property
+    def total(self) -> int:
+        return self.lower_bound + self.correction
 
 
 def _trivial_reason(params: tg.OneTieParams, r: int) -> str | None:
@@ -128,15 +114,18 @@ def _trivial_reason(params: tg.OneTieParams, r: int) -> str | None:
     return None
 
 
-def classify(tri: tg.Triangulation, r: int) -> Classification:
-    """Decide which formula gives the dimension of C^r_d over the mesh.
+def classify(tri: tg.Triangulation, r: int) -> tuple[str, str, tg.OneTieParams | None]:
+    """Decide which formula gives the dimension of C^r_d over the mesh, and why.
 
-    Raises UnsupportedTopology unless the mesh is quasi-cross-cut or has a
-    single totally interior edge.
+    Returns (kind, reason, params).  kind is "quasi-cross-cut" or
+    "trivial-case" (the dimension is the lower bound in every degree) or
+    "one-tie" (the correction term is live); params is None only for
+    quasi-cross-cut meshes.  Raises UnsupportedTopology unless the mesh is
+    quasi-cross-cut or has a single totally interior edge.
     """
     _check_r(r)
     if tg.is_quasi_cross_cut(tri):
-        return Classification("quasi-cross-cut", "quasi-cross-cut mesh", None)
+        return "quasi-cross-cut", "quasi-cross-cut mesh", None
     ties = tri.totally_interior_edges()
     if len(ties) != 1:
         raise UnsupportedTopology(
@@ -144,8 +133,8 @@ def classify(tri: tg.Triangulation, r: int) -> Classification:
     params = tg.extract_one_tie_params(tri)
     reason = _trivial_reason(params, r)
     if reason is not None:
-        return Classification("trivial-case", reason, params)
-    return Classification("one-tie", "one totally interior edge", params)
+        return "trivial-case", reason, params
+    return "one-tie", "one totally interior edge", params
 
 
 def _require_nontrivial(params: tg.OneTieParams, r: int) -> TiePair:
@@ -162,15 +151,19 @@ def dim_lattice(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     tp = _require_nontrivial(params, r)
     lower = schumaker_lower_bound_params(params.p, params.q, params.s, params.t, d, r)
     corr = homology_dim(tp, d)
-    return DimReport(r, d, lower, corr, lower + corr, "lattice")
+    return DimReport(r, d, lower, corr, "lattice")
 
 
 def f_explicit(s: int, t: int, d: int, r: int) -> int:
     """Middle-branch excess over the lower bound, as a single finite sum.
 
     Needs integers 2 <= s <= t, as degree_thresholds does, and is only valid
-    strictly between the two thresholds; raises OutOfBranch elsewhere.  Each
-    summand is clamped at zero.
+    strictly between the two thresholds; raises OutOfBranch elsewhere.
+
+    No summand is negative.  Summand i is floor(U) - ceil(L) + 1 for the
+    rationals U = ((i - d)(s - 1) + r s) / s and L = (i + d(t - 1) - r t) / t,
+    and s t (U - L) = i * den - num.  So every i >= start = ceil(num / den)
+    has U >= L, and then ceil(L) - 1 < L <= U gives floor(U) >= ceil(L) - 1.
     """
     _check_dr(d, r)
     low, high = degree_thresholds(s, t, r)
@@ -184,8 +177,7 @@ def f_explicit(s: int, t: int, d: int, r: int) -> int:
     for i in range(start, d - r):
         upper = ((i - d) * (s - 1) + r * s) // s
         lower = -((-(i + d * (t - 1) - r * t)) // t)
-        if upper >= lower:
-            total += upper - lower + 1
+        total += upper - lower + 1
     return total
 
 
@@ -197,12 +189,15 @@ def dim_explicit(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     lower = schumaker_lower_bound_params(p, q, s, t, d, r)
     low, high = degree_thresholds(s, t, r)
     if d <= low:
-        total = schumaker_lower_bound_prime(p, q, s, t, d, r)
+        correction = schumaker_lower_bound_prime(p, q, s, t, d, r) - lower
     elif d <= high:
-        total = lower + f_explicit(s, t, d, r)
+        correction = f_explicit(s, t, d, r)
     else:
-        total = lower
-    return DimReport(r, d, lower, total - lower, total, "explicit")
+        # f_explicit's range is empty exactly here: start >= d - r holds iff
+        # s t (d - r + 1) > (s + t)(r + 1), that is iff d > high.  The branch
+        # stays so that high degrees skip a second degree_thresholds call.
+        correction = 0
+    return DimReport(r, d, lower, correction, "explicit")
 
 
 def stabilization_degree(params: tg.OneTieParams, r: int) -> int:
@@ -244,4 +239,4 @@ def dim(tri: tg.Triangulation, d: int, r: int, method: str = "auto",
     # the one-tie routes report a correction on their local bound; rebase it on
     # the mesh-level bound: extra interior edges off the shared edge shift both
     # bounds by the same amount, the correction is local
-    return DimReport(r, d, lower, correction, lower + correction, method)
+    return DimReport(r, d, lower, correction, method)

@@ -486,7 +486,7 @@ def parse_mesh(text: str) -> Triangulation:
         raise MeshFormatError(f"float literal {tok!r} in mesh file; use \"num/den\" strings")
 
     try:
-        data = json.loads(text, parse_float=_no_floats)
+        data = json.loads(text, parse_float=_no_floats, parse_constant=_no_floats)
     except json.JSONDecodeError as exc:
         raise MeshFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

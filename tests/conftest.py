@@ -77,6 +77,11 @@ def glue_quad(tri, a, b):
     return tg.build(verts, tris)
 
 
+def mesh_data(tri):
+    """The (vertices, triangles) pair that tg.build turns back into tri."""
+    return [(p.x, p.y) for p in tri.vertices], tri.triangles
+
+
 @st.composite
 def affine_images(draw, meshes):
     """A rational invertible affine image of the (vertices, triangles) pair that meshes draws."""

@@ -231,6 +231,14 @@ def test_float_coordinates_exit_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_nan_literal_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.mesh"
+    path.write_text('{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]], "note": NaN}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_invalid_geometry_exit_1(tmp_path, capsys):
     # parses fine, fails validation: vertex 3 belongs to no triangle
     path = tmp_path / "island.mesh"

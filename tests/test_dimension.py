@@ -14,7 +14,7 @@ from splinedim.exact import binom
 from splinedim.power_ideal import TiePair, homology_dim, homology_regularity
 
 import conftest
-from conftest import affine_images
+from conftest import affine_images, mesh_data
 
 
 _FIG2, _TOH = tg.load_bundled("figure2"), tg.load_bundled("tohaneanu")
@@ -251,8 +251,11 @@ def test_correction_monotone_total():
 
 
 def test_dim_report_invariant():
-    with pytest.raises(ValueError):
+    # total is derived, so a report whose total disagrees cannot be built
+    with pytest.raises(TypeError):
         dm.DimReport(r=1, d=2, lower_bound=5, correction=1, total=7, method="x")
+    rep = dm.DimReport(r=1, d=2, lower_bound=5, correction=1, method="x")
+    assert rep.total == rep.lower_bound + rep.correction == 6
 
 
 # ------------------------------------------------------------ dispatcher
@@ -325,12 +328,21 @@ def bundled_cells(draw):
     base = draw(st.sampled_from([_FIG2, _TOH]))
     tri = base
     if draw(st.booleans()):
-        verts = [(p.x, p.y) for p in base.vertices]
-        tri = tg.build(*draw(affine_images(st.just((verts, base.triangles)))))
+        tri = tg.build(*draw(affine_images(st.just(mesh_data(base)))))
+    return (tri, *_draw_cell(draw, tri))
+
+
+def _draw_cell(draw, tri):
+    """classify's params (None where there are none or the mesh is refused),
+    0 <= d <= stabilization degree + 2 (2r + 3 without a live correction)
+    and 0 <= r <= 100."""
     r = draw(st.integers(0, 100))
-    kind, _, params = dm.classify(tri, r)
+    try:
+        kind, _, params = dm.classify(tri, r)
+    except dm.UnsupportedTopology:
+        kind, params = None, None
     top = dm.stabilization_degree(params, r) if kind == "one-tie" else 2 * r + 1
-    return tri, params, draw(st.integers(0, top + 2)), r
+    return params, draw(st.integers(0, top + 2)), r
 
 
 _cell_settings = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -358,3 +370,83 @@ def test_dim_at_least_both_bounds(cell):
     rep = dm.dim(tri, d, r)
     companion = dm.schumaker_lower_bound_prime(params.p, params.q, params.s, params.t, d, r)
     assert rep.total >= max(rep.lower_bound, companion)
+
+
+# Meshes for the invariance and refinement properties: the bundled one-tie
+# meshes, each with an interior vertex glued away from its tie, a
+# quasi-cross-cut mesh and, for invariance only, a mesh dim(auto) refuses.
+_REFINABLE = (_FIG2, _TOH, conftest.glue_quad(_FIG2, 2, 10), conftest.glue_quad(_TOH, 3, 4),
+              conftest.cross_cut_square())
+_INVARIANCE_MESHES = _REFINABLE + (conftest.two_tie_strip(),)
+
+
+@st.composite
+def relabelled_cells(draw):
+    """A mesh, its image under a drawn composition of a vertex relabelling, a
+    triangle shuffle, per-triangle orientation flips and a rational affine
+    map, and a cell (d, r)."""
+    tri = draw(st.sampled_from(_INVARIANCE_MESHES))
+    verts, tris = mesh_data(tri)
+    if draw(st.booleans()):
+        new = draw(st.permutations(range(len(verts))))
+        moved = [None] * len(verts)
+        for label, v in zip(new, verts):
+            moved[label] = v
+        verts, tris = moved, [tuple(new[i] for i in t) for t in tris]
+    if draw(st.booleans()):
+        tris = draw(st.permutations(tris))
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=len(tris), max_size=len(tris)))
+        tris = [t[::-1] if flip else t for t, flip in zip(tris, flips)]
+    if draw(st.booleans()):
+        verts, tris = draw(affine_images(st.just((verts, tris))))
+    return (tri, tg.build(verts, tris), *_draw_cell(draw, tri)[1:])
+
+
+def _invariants(tri, d, r):
+    """dim(auto)'s report and classify's verdict up to the order of p and q
+    (with s = t a relabelling may swap the endpoints), or the error's class."""
+    try:
+        rep = dm.dim(tri, d, r)
+        kind, _, params = dm.classify(tri, r)
+    except dm.DimensionError as exc:
+        return type(exc)
+    tie = params and (params.s, params.t, params.trivial_slope_collision,
+                      sorted((params.p, params.q)))
+    return (rep.lower_bound, rep.correction, rep.total, rep.method), kind, tie
+
+
+@_cell_settings
+@given(relabelled_cells())
+def test_dim_invariant_under_relabelling_and_affine_maps(cell):
+    tri, image, d, r = cell
+    assert _invariants(image, d, r) == _invariants(tri, d, r)
+
+
+@st.composite
+def refined_cells(draw):
+    """A mesh, the mesh with the triangle on a drawn boundary edge (a, b) split
+    at a rational point m strictly between a and b, and a cell (d, r).
+
+    m is a boundary vertex, so the split adds no totally interior edge."""
+    tri = draw(st.sampled_from(_REFINABLE))
+    verts, tris = mesh_data(tri)
+    edge = draw(st.sampled_from([e for e in tri.edges if e.kind == "boundary"]))
+    lam = draw(st.fractions(0, 1, max_denominator=7).filter(lambda x: 0 < x < 1))
+    (ax, ay), (bx, by) = verts[edge.u], verts[edge.v]
+    m = len(verts)
+    verts = verts + [(ax + lam * (bx - ax), ay + lam * (by - ay))]
+    (k,) = edge.triangles
+    t = tris[k]
+    # each half keeps the orientation of t: m replaces one endpoint of the edge
+    halves = [tuple(m if v == end else v for v in t) for end in (edge.u, edge.v)]
+    tris = tris[:k] + tuple(halves) + tris[k + 1:]
+    return (tri, tg.build(verts, tris), *_draw_cell(draw, tri)[1:])
+
+
+@_cell_settings
+@given(refined_cells())
+def test_dim_rises_under_boundary_refinement(cell):
+    # every spline on the coarse mesh is a spline on the refined one
+    tri, fine, d, r = cell
+    assert dm.dim(fine, d, r).total >= dm.dim(tri, d, r).total

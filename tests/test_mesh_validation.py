@@ -22,7 +22,7 @@ from splinedim import oracle as orc
 from splinedim import triangulation as tg
 
 import conftest
-from conftest import affine_images
+from conftest import affine_images, mesh_data
 from mesh_referee import _orient as referee_orient, referee_quasi_cross_cut, referee_validate
 
 
@@ -257,17 +257,13 @@ def plain_grids(draw):
     return conftest.grid_data(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
 
 
-def _data(tri):
-    return [(p.x, p.y) for p in tri.vertices], tri.triangles
-
-
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(valid_meshes, glued_ears(), plain_grids(), affine_images(plain_grids())),
        st.integers(0, 8))
-@example(_data(conftest.two_tie_strip()), 3)
-@example(_data(conftest.slope_collision_star()), 4)
-@example(_data(conftest.cross_cut_square()), 2)
-@example(_data(conftest.square_pair()), 1)
+@example(mesh_data(conftest.two_tie_strip()), 3)
+@example(mesh_data(conftest.slope_collision_star()), 4)
+@example(mesh_data(conftest.cross_cut_square()), 2)
+@example(mesh_data(conftest.square_pair()), 1)
 def test_quasi_cross_cut_walk_matches_union_find(mesh, r):
     try:
         tri = tg.build(*mesh)
@@ -302,7 +298,7 @@ def oracle_meshes(draw):
     base = draw(st.one_of(st.none(), st.sampled_from(ONE_TIE_BASES)))
     if base is None:
         return None, tg.build(*draw(st.one_of(one_tie_stars(), affine_images(one_tie_stars()))))
-    return base, tg.build(*draw(affine_images(st.just(_data(base)))))
+    return base, tg.build(*draw(affine_images(st.just(mesh_data(base)))))
 
 
 def _tie_summary(tri, r):

@@ -263,6 +263,13 @@ def test_parse_mesh_rejects_floats():
                        "triangles": [[0, 1, 2]]})
     with pytest.raises(tg.MeshFormatError):
         tg.parse_mesh(text)
+    # json hands these three literals to parse_constant, not parse_float
+    for literal in ("NaN", "-Infinity", "Infinity"):
+        for text in ('{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]], '
+                     f'"note": {literal}}}',
+                     f'{{"vertices": [[0, 0], [1, 0], [0, {literal}]], "triangles": [[0, 1, 2]]}}'):
+            with pytest.raises(tg.MeshFormatError, match=f"float literal '{literal}'"):
+                tg.parse_mesh(text)
 
 
 def test_parse_mesh_rejects_malformed():
