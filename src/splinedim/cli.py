@@ -112,20 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("dim", parents=[common], help="dimension for one (r, d)")
     pd.add_argument("--d", dest="d", type=int, required=True, help="polynomial degree")
-    pd.add_argument("--method", choices=["auto", "lattice", "explicit", "oracle"], default="auto")
-    pd.add_argument("--allow-large", action="store_true",
-                    help="lift the column guardrail on the oracle system")
     pd.set_defaults(func=cmd_dim)
 
     pt = sub.add_parser("table", parents=[common], help="dimension table for d = 0..dmax")
     pt.add_argument("--dmax", type=int, required=True)
-    pt.add_argument("--method", choices=["auto", "lattice", "explicit", "oracle"], default="auto")
-    pt.add_argument("--format", choices=["csv", "tsv", "pretty"], default="csv")
-    pt.add_argument("--verify", action="store_true",
-                    help="recompute every row with the linear-algebra oracle")
-    pt.add_argument("--allow-large", action="store_true",
-                    help="lift the column guardrail on the oracle system")
     pt.set_defaults(func=cmd_table)
+
+    # the route options, in the order every --help has always listed them
+    for p in (pd, pt):
+        p.add_argument("--method", choices=dimension.METHODS, default="auto")
+        if p is pt:
+            p.add_argument("--format", choices=["csv", "tsv", "pretty"], default="csv")
+            p.add_argument("--verify", action="store_true",
+                           help="recompute every row with the linear-algebra oracle")
+        p.add_argument("--allow-large", action="store_true",
+                       help="lift the column guardrail on the oracle system")
 
     pr = sub.add_parser("regularity", parents=[common],
                         help="degree thresholds where the correction term dies")

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import triangulation as tg
-from .exact import binom, is_int
+from .exact import binom, check_ints
 from .power_ideal import TiePair, degree_thresholds, homology_dim, homology_regularity
+
+
+METHODS = ("auto", "lattice", "explicit", "oracle")
 
 
 class DimensionError(Exception):
@@ -32,18 +35,6 @@ class UnsupportedTopology(DimensionError):
     """Mesh is neither quasi-cross-cut nor single-totally-interior-edge."""
 
 
-def _check_dr(d: int, r: int) -> None:
-    if not (is_int(d) and is_int(r)):
-        raise ValueError("d and r must be integers")
-    if d < 0 or r < 0:
-        raise ValueError("d and r must be nonnegative")
-
-
-def _check_r(r: int) -> None:
-    if not is_int(r) or r < 0:
-        raise ValueError(f"r must be a nonnegative integer, got {r!r}")
-
-
 def _lower_bound(n_interior_edges: int, slope_counts: Iterable[int], d: int, r: int) -> int:
     """Schumaker's lower bound from the interior edge count and the slope
     count at each interior vertex.
@@ -53,7 +44,7 @@ def _lower_bound(n_interior_edges: int, slope_counts: Iterable[int], d: int, r: 
     n*(r+1) = alpha*(n-1) + nu with 0 <= nu < n - 1 and set mu = n - 1 - nu;
     the pair (mu, nu) weights two binomial terms.
     """
-    _check_dr(d, r)
+    check_ints("d and r", d, r, low=0)
     total = binom(d + 2, 2)
     coeff = n_interior_edges
     for n in slope_counts:
@@ -73,8 +64,7 @@ def schumaker_lower_bound(tri: tg.Triangulation, d: int, r: int) -> int:
 
 def _tie_bound(p: int, q: int, s: int, t: int, d: int, r: int, tie: int) -> int:
     """Lower bound for p + q + tie interior edges and s + tie, t + tie slopes."""
-    if not (is_int(p) and is_int(q) and is_int(s) and is_int(t)):
-        raise ValueError(f"p, q, s and t must be integers, got {p!r}, {q!r}, {s!r}, {t!r}")
+    check_ints("p, q, s and t", p, q, s, t)
     return _lower_bound(p + q + tie, (s + tie, t + tie), d, r)
 
 
@@ -123,7 +113,7 @@ def classify(tri: tg.Triangulation, r: int) -> tuple[str, str, tg.OneTieParams |
     quasi-cross-cut meshes.  Raises UnsupportedTopology unless the mesh is
     quasi-cross-cut or has a single totally interior edge.
     """
-    _check_r(r)
+    check_ints("r", r, low=0)
     if tg.is_quasi_cross_cut(tri):
         return "quasi-cross-cut", "quasi-cross-cut mesh", None
     ties = tri.totally_interior_edges()
@@ -138,7 +128,7 @@ def classify(tri: tg.Triangulation, r: int) -> tuple[str, str, tg.OneTieParams |
 
 
 def _require_nontrivial(params: tg.OneTieParams, r: int) -> TiePair:
-    _check_r(r)
+    check_ints("r", r, low=0)
     reason = _trivial_reason(params, r)
     if reason is not None:
         raise TrivialCase(f"{reason}; dim equals the lower bound")
@@ -147,7 +137,7 @@ def _require_nontrivial(params: tg.OneTieParams, r: int) -> TiePair:
 
 def dim_lattice(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     """Lower bound plus the lattice-count correction."""
-    _check_dr(d, r)
+    check_ints("d and r", d, r, low=0)
     tp = _require_nontrivial(params, r)
     lower = schumaker_lower_bound_params(params.p, params.q, params.s, params.t, d, r)
     corr = homology_dim(tp, d)
@@ -165,7 +155,7 @@ def f_explicit(s: int, t: int, d: int, r: int) -> int:
     and s t (U - L) = i * den - num.  So every i >= start = ceil(num / den)
     has U >= L, and then ceil(L) - 1 < L <= U gives floor(U) >= ceil(L) - 1.
     """
-    _check_dr(d, r)
+    check_ints("d and r", d, r, low=0)
     low, high = degree_thresholds(s, t, r)
     if not low < d <= high:
         raise OutOfBranch(f"d={d} outside ({low}, {high}]")
@@ -183,7 +173,7 @@ def f_explicit(s: int, t: int, d: int, r: int) -> int:
 
 def dim_explicit(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     """Piecewise closed form: companion bound, middle sum, or plain bound."""
-    _check_dr(d, r)
+    check_ints("d and r", d, r, low=0)
     _require_nontrivial(params, r)
     p, q, s, t = params.p, params.q, params.s, params.t
     lower = schumaker_lower_bound_params(p, q, s, t, d, r)
@@ -215,8 +205,8 @@ def dim(tri: tg.Triangulation, d: int, r: int, method: str = "auto",
     insisting they agree.  "lattice" and "explicit" force a single route;
     "oracle" sets up the smoothness linear system and counts its kernel.
     """
-    _check_dr(d, r)
-    if method not in ("auto", "lattice", "explicit", "oracle"):
+    check_ints("d and r", d, r, low=0)
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     lower = schumaker_lower_bound(tri, d, r)
     if method == "oracle":

@@ -12,9 +12,22 @@ RationalLike = Union[int, Fraction, str]
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
-def is_int(value: object) -> bool:
-    """Whether value is an int and not a bool: True is no degree, index or count."""
-    return type(value) is not bool and isinstance(value, int)
+def check_ints(names: str, *values: object, low: int | None = None) -> None:
+    """Raise ValueError unless every value is an int, and at least low when low is given.
+
+    A bool is refused: True is no degree, index or count.  names labels the
+    values in the message, e.g. check_ints("d and r", d, r, low=0).  Every
+    value's type is checked before any value's bound.
+    """
+    for value in values:
+        if type(value) is bool or not isinstance(value, int):
+            kind = "an integer" if len(values) == 1 else "integers"
+            raise ValueError(f"{names} must be {kind}, got {', '.join(map(repr, values))}")
+    if low is not None:
+        for value in values:
+            if value < low:
+                raise ValueError(f"{names} must be at least {low}, "
+                                 f"got {', '.join(map(repr, values))}")
 
 
 def parse_rational(value: RationalLike) -> Fraction:
@@ -105,8 +118,7 @@ def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
 
 def kernel_dim_sparse(rows: Sequence[dict[int, int]], ncols: int) -> int:
     """Nullity of sparse integer rows whose columns all lie in 0..ncols-1."""
-    if not is_int(ncols) or ncols < 0:
-        raise ValueError(f"column count must be a nonnegative integer, got {ncols!r}")
+    check_ints("ncols", ncols, low=0)
     cols = {c for row in rows for c in row}
     if cols and (min(cols) < 0 or max(cols) >= ncols):
         raise ValueError(f"row columns {min(cols)}..{max(cols)} outside 0..{ncols - 1}")

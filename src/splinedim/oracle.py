@@ -14,7 +14,7 @@ from operator import add
 from typing import Sequence
 
 from . import triangulation as tg
-from .exact import is_int, kernel_dim_sparse, parse_rational, pivot_rows, rank_sparse
+from .exact import check_ints, kernel_dim_sparse, parse_rational, pivot_rows, rank_sparse
 
 
 class OracleError(Exception):
@@ -81,8 +81,7 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     Polynomials are homogenized as forms in (z, x, y), so a polynomial of
     degree <= d is a form of degree exactly d.
     """
-    if not (is_int(d) and is_int(r)) or d < 0 or r < 0:
-        raise ValueError("d and r must be nonnegative integers")
+    check_ints("d and r", d, r, low=0)
     interior = tri.interior_edges()
     n_tri = len(tri.triangles)
     mono = _monomials_exact(3, d)
@@ -122,8 +121,7 @@ def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,
     for coeffs, power in generators:
         if len(tuple(coeffs)) != nvars:
             raise ValueError("generator arity mismatch")
-        if not is_int(power) or power < 0:
-            raise ValueError(f"generator exponent must be a nonnegative integer, got {power!r}")
+        check_ints("generator exponent", power, low=0)
         form = _int_linear_form(coeffs)
         if power > d:
             continue
@@ -139,8 +137,7 @@ def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> 
     Generators are (coefficient vector, exponent) pairs, all in the same
     number of variables; the value is the rank of all monomial multiples.
     """
-    if not is_int(d):
-        raise ValueError(f"d must be an integer, got {d!r}")
+    check_ints("d", d)
     if not generators:
         return 0
     nvars = len(tuple(generators[0][0]))
@@ -158,10 +155,8 @@ def _colon_system(ideals: Sequence, form: Sequence, e: int, d: int) -> tuple[int
     """The colon oracles' set-up in degree d + e: the monomial count, one echelon
     basis per ideal (every ideal's rows built before any elimination) and the
     rows of form^e times each degree-d monomial."""
-    if not (is_int(e) and is_int(d)):
-        raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
-    if e < 0:
-        raise ValueError("negative colon exponent")
+    check_ints("e and d", e, d)
+    check_ints("e", e, low=0)
     nvars = len(tuple(form))
     mono = _monomials_exact(nvars, d + e)
     midx = {m: k for k, m in enumerate(mono)}
@@ -209,10 +204,8 @@ def homology_dim_oracle(s: int, t: int, r: int, b: Sequence, c: Sequence, d: int
     interior edge.  The gap in degree d is the codimension of the sum of the
     two colon ideals' pieces in degree d - r - 1.
     """
-    if not all(map(is_int, (s, t, r, d))):
-        raise ValueError(f"s, t, r and d must be integers, got {s!r}, {t!r}, {r!r}, {d!r}")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    check_ints("s, t, r and d", s, t, r, d)
+    check_ints("r", r, low=0)
     bs = _validated_slopes(b, "first endpoint")
     cs = _validated_slopes(c, "second endpoint")
     if len(bs) != s or len(cs) != t:

@@ -11,15 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import is_int
+from .exact import check_ints
 
 
 def _multiplicities(a: Iterable[int]) -> tuple[int, ...]:
     seq = tuple(a)
     if not seq:
         raise ValueError("empty multiplicity sequence")
-    if any(not is_int(x) or x < 0 for x in seq):
-        raise ValueError(f"multiplicities must be nonnegative integers, got {seq!r}")
+    check_ints("multiplicities", *seq, low=0)
     # ascending order is what the prefix criterion below assumes
     return tuple(sorted(seq))
 
@@ -32,8 +31,7 @@ def hilbert_power_ideal(a: Iterable[int], d: int) -> int:
     degree d slice of dimension min(d + 1, sum_i max(d - a_i, 0)).
     """
     mults = _multiplicities(a)
-    if not is_int(d):
-        raise ValueError(f"d must be an integer, got {d!r}")
+    check_ints("d", d)
     if d < 0:
         return 0
     return min(d + 1, sum(d - ai for ai in mults if ai < d))
@@ -46,8 +44,7 @@ def in_membership(a: Iterable[int], expo_x: int, expo_y: int) -> bool:
     beaten: sum_{i<=j} a_i < j*A + (j-1)*B for some j.
     """
     mults = _multiplicities(a)
-    if not (is_int(expo_x) and is_int(expo_y)) or expo_x < 0 or expo_y < 0:
-        raise ValueError(f"exponents must be nonnegative integers, got {expo_x!r}, {expo_y!r}")
+    check_ints("expo_x and expo_y", expo_x, expo_y, low=0)
     prefix = 0
     for j, ai in enumerate(mults, start=1):
         prefix += ai
@@ -60,19 +57,14 @@ def hilbert_colon(a: Iterable[int], e: int, d: int) -> int:
     """Dimension of the degree d piece of the colon by the e-th power of a new form,
     max(hilbert_power_ideal(a, d + e) - e, 0); it is 0 for every d < 0."""
     mults = _multiplicities(a)
-    if not (is_int(e) and is_int(d)):
-        raise ValueError(f"e and d must be integers, got {e!r}, {d!r}")
-    if e < 0:
-        raise ValueError("negative colon exponent")
+    check_ints("e and d", e, d)
+    check_ints("e", e, low=0)
     return max(hilbert_power_ideal(mults, d + e) - e, 0)
 
 
 def colon_membership(a: Iterable[int], e: int, expo_x: int, expo_y: int) -> bool:
     """Initial-ideal membership for the colon: shift the y exponent by e."""
-    if not is_int(e):
-        raise ValueError(f"colon exponent must be an integer, got {e!r}")
-    if e < 0:
-        raise ValueError("negative colon exponent")
+    check_ints("e", e, low=0)
     return in_membership(a, expo_x, expo_y + e)
 
 
@@ -87,9 +79,9 @@ class TiePair:
     r: int
 
     def __post_init__(self) -> None:
-        if (not (is_int(self.s) and is_int(self.t) and is_int(self.r))
-                or not 2 <= self.s <= self.t <= self.r + 1):
-            raise ValueError(f"need integers 2 <= s <= t <= r+1, got {self!r}")
+        check_ints("s, t and r", self.s, self.t, self.r)
+        if not 2 <= self.s <= self.t <= self.r + 1:
+            raise ValueError(f"need 2 <= s <= t <= r+1, got {self!r}")
 
 
 def homology_dim(tp: TiePair, d: int) -> int:
@@ -98,8 +90,7 @@ def homology_dim(tp: TiePair, d: int) -> int:
     Counts triples (A, B, C) of nonnegative integers with A + B + C = d - (r+1),
     s*A + (s-1)*C <= r + 1 - s and t*B + (t-1)*C <= r + 1 - t.
     """
-    if not is_int(d):
-        raise ValueError(f"d must be an integer, got {d!r}")
+    check_ints("d", d)
     s, t, r = tp.s, tp.t, tp.r
     level = d - (r + 1)
     count = 0
@@ -132,8 +123,10 @@ def degree_thresholds(s: int, t: int, r: int) -> tuple[Fraction, Fraction]:
     lower bound; past high = (r+1)/s + (r+1)/t + r - 1 it is the plain lower
     bound; in between a finite sum adds to the plain bound.
     """
-    if not (is_int(s) and is_int(t) and is_int(r) and 2 <= s <= t and r >= 0):
-        raise ValueError(f"need integers 2 <= s <= t and r >= 0, got {s!r}, {t!r}, {r!r}")
+    check_ints("s, t and r", s, t, r)
+    check_ints("r", r, low=0)
+    if not 2 <= s <= t:
+        raise ValueError(f"need 2 <= s <= t, got {s!r}, {t!r}")
     return (Fraction(t * r, s * (t - 1)) + r,
             Fraction(r + 1, s) + Fraction(r + 1, t) + r - 1)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple, Sequence
 
-from .exact import format_rational, parse_rational
+from .exact import check_ints, format_rational, parse_rational
 
 
 class MeshError(Exception):
@@ -143,6 +143,7 @@ class OneTieParams:
     trivial_slope_collision: bool
 
     def __post_init__(self) -> None:
+        check_ints("p, q, s and t", self.p, self.q, self.s, self.t)
         if not 2 <= self.s <= self.p:
             raise ValueError(f"need 2 <= s <= p, got s={self.s} p={self.p}")
         if not 2 <= self.t <= self.q:
@@ -498,8 +499,12 @@ def parse_mesh(text: str) -> Triangulation:
 
 
 def load_mesh(path) -> Triangulation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_mesh(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"mesh file is not UTF-8: {exc}") from exc
+    return parse_mesh(text)
 
 
 def dump_mesh(tri: Triangulation) -> str:

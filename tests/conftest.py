@@ -77,6 +77,27 @@ def glue_quad(tri, a, b):
     return tg.build(verts, tris)
 
 
+def reflect_across(tri, a, b):
+    """Glue tri to its mirror image across the line through vertices a and b.
+
+    Every vertex but a and b gets a mirror copy and every triangle a mirror
+    triangle, so (a, b) must be a boundary edge with the mesh on one side of
+    its line.
+    """
+    pa, pb = tri.vertices[a], tri.vertices[b]
+    dx, dy = pb.x - pa.x, pb.y - pa.y
+    verts = [(p.x, p.y) for p in tri.vertices]
+    image = {a: a, b: b}
+    for i, p in enumerate(tri.vertices):
+        if i not in image:
+            # the foot of the perpendicular from p is pa + k (dx, dy)
+            k = ((p.x - pa.x) * dx + (p.y - pa.y) * dy) / (dx * dx + dy * dy)
+            image[i] = len(verts)
+            verts.append((2 * (pa.x + k * dx) - p.x, 2 * (pa.y + k * dy) - p.y))
+    tris = list(tri.triangles) + [tuple(image[i] for i in t) for t in tri.triangles]
+    return tg.build(verts, tris)
+
+
 def mesh_data(tri):
     """The (vertices, triangles) pair that tg.build turns back into tri."""
     return [(p.x, p.y) for p in tri.vertices], tri.triangles

@@ -239,6 +239,15 @@ def test_nan_literal_exit_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_undecodable_bytes_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin.mesh"
+    path.write_bytes(b'{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]], '
+                     b'"note": "\xff\xfe"}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_invalid_geometry_exit_1(tmp_path, capsys):
     # parses fine, fails validation: vertex 3 belongs to no triangle
     path = tmp_path / "island.mesh"

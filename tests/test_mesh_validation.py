@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from splinedim import dimension as dm
 from splinedim import oracle as orc
 from splinedim import triangulation as tg
+from splinedim.power_ideal import TiePair, homology_dim
 
 import conftest
 from conftest import affine_images, mesh_data
@@ -320,6 +321,26 @@ def test_dim_auto_matches_spline_oracle_on_generated_meshes(mesh, rd):
     assert dm.dim(tri, d, r).total == orc.dim_spline_oracle(tri, d, r)
     if base is not None:
         assert _tie_summary(tri, r) == _tie_summary(base, r)
+
+
+@pytest.mark.parametrize("base, a, b", [(_FIG2, 2, 10), (_TOH, 3, 4)],
+                         ids=["figure2-across-2-10", "tohaneanu-across-3-4"])
+def test_mirrored_one_tie_mesh_doubles_the_correction(base, a, b):
+    # ROADMAP item 2's hypothesis on two vertex-disjoint ties: each adds its own correction
+    tri = conftest.reflect_across(base, a, b)
+    first, second = (set(e.key) for e in tri.totally_interior_edges())
+    assert not first & second and not tg.is_quasi_cross_cut(tri)
+    with pytest.raises(dm.UnsupportedTopology):
+        dm.dim(tri, 4, 2)
+    params = tg.extract_one_tie_params(base)
+    nonzero = 0
+    for r in range(1, 4):
+        trivial = dm._trivial_reason(params, r) is not None
+        for d in range(r, 3 * r + 3):
+            corr = 0 if trivial else homology_dim(TiePair(params.s, params.t, r), d)
+            nonzero += corr > 0
+            assert orc.dim_spline_oracle(tri, d, r) == dm.schumaker_lower_bound(tri, d, r) + 2 * corr
+    assert nonzero > 0
 
 
 # ------------------------------------------------------------------ scale

@@ -149,6 +149,11 @@ def test_one_tie_params_validation():
     with pytest.raises(ValueError):
         tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=5, q=4, s=4, t=3,
                         trivial_slope_collision=False)
+    # counts are integers: a float or a bool is refused before any range check
+    for bad in ({"p": 6.5}, {"s": 3.0}, {"q": True}, {"t": 4.0}):
+        fields = {"p": 6, "q": 5, "s": 3, "t": 4} | bad
+        with pytest.raises(ValueError, match="p, q, s and t must be integers"):
+            tg.OneTieParams(tau=(0, 1), v1=0, v2=1, trivial_slope_collision=False, **fields)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -270,6 +275,14 @@ def test_parse_mesh_rejects_floats():
                      f'{{"vertices": [[0, 0], [1, 0], [0, {literal}]], "triangles": [[0, 1, 2]]}}'):
             with pytest.raises(tg.MeshFormatError, match=f"float literal '{literal}'"):
                 tg.parse_mesh(text)
+
+
+def test_load_mesh_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin.mesh"
+    path.write_bytes(b'{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]], '
+                     b'"note": "\xff\xfe"}')
+    with pytest.raises(tg.MeshFormatError, match="not UTF-8"):
+        tg.load_mesh(path)
 
 
 def test_parse_mesh_rejects_malformed():
