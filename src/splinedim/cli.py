@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dimension, oracle
 from . import triangulation as tg
-from .exact import format_rational
+from .exact import check_ints, format_rational
 from .power_ideal import TiePair, congruence_case, homology_regularity, supersmoothness_threshold
 
 
@@ -54,6 +54,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     tri = _load(args.mesh)
+    check_ints("dmax", args.dmax, low=0)
     header = ["r", "d", "L", "H1", "dim", "method"]
     if args.verify:
         header += ["oracle", "match"]

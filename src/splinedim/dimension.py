@@ -184,8 +184,9 @@ def dim_explicit(params: tg.OneTieParams, d: int, r: int) -> DimReport:
         correction = f_explicit(s, t, d, r)
     else:
         # f_explicit's range is empty exactly here: start >= d - r holds iff
-        # s t (d - r + 1) > (s + t)(r + 1), that is iff d > high.  The branch
-        # stays so that high degrees skip a second degree_thresholds call.
+        # s t (d - r + 1) > (s + t)(r + 1), that is iff d > high.  It refuses
+        # these degrees all the same (OutOfBranch), and its denominator is 0
+        # when s = t = 2, so the plain bound needs its own branch.
         correction = 0
     return DimReport(r, d, lower, correction, "explicit")
 

@@ -56,10 +56,7 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 def format_rational(value: RationalLike) -> str:
     """Render as "num" or "num/den", never as a decimal."""
-    q = parse_rational(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(parse_rational(value))
 
 
 def binom(a: int, b: int) -> int:

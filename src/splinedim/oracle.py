@@ -32,14 +32,14 @@ class DegenerateSlopes(OracleError):
 MAX_COLUMNS = 5000
 
 
-def _monomials_exact(nvars: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree exactly d, in descending lex order; none when d < 0."""
+def _monomials_exact(nvars: int, d: int) -> dict[tuple[int, ...], int]:
+    """Column of each exponent tuple of total degree d, in descending lex order; none if d < 0."""
     if nvars == 0 or d < 0:
-        return [()] if nvars == d == 0 else []
+        return {(): 0} if nvars == d == 0 else {}
     heads = [((), d)]
     for _ in range(nvars - 1):
         heads = [(head + (a,), rem - a) for head, rem in heads for a in range(rem, -1, -1)]
-    return [head + (rem,) for head, rem in heads]
+    return {head + (rem,): k for k, (head, rem) in enumerate(heads)}
 
 
 def _int_linear_form(coeffs: Sequence) -> tuple[int, ...]:
@@ -84,9 +84,8 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     check_ints("d and r", d, r, low=0)
     interior = tri.interior_edges()
     n_tri = len(tri.triangles)
-    mono = _monomials_exact(3, d)
-    n_poly = len(mono)
-    midx = {m: k for k, m in enumerate(mono)}
+    midx = _monomials_exact(3, d)
+    n_poly = len(midx)
     mono_h = _monomials_exact(3, d - r - 1)
     n_mult = len(mono_h)
     ncols = n_tri * n_poly + len(interior) * n_mult
@@ -107,7 +106,7 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
             b = p.x - q.x
             # the edge's line a*x + b*y + c = 0, homogenized with z first
             power = _power(_int_linear_form((-(a * p.x + b * p.y), a, b)), r + 1)
-            for hk, hm in enumerate(mono_h):
+            for hm, hk in mono_h.items():
                 for pm, pc in power.items():
                     eqs[midx[hm[0] + pm[0], hm[1] + pm[1], hm[2] + pm[2]]][baseh + hk] = -pc
         rows.extend(eqs)
@@ -141,8 +140,7 @@ def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> 
     if not generators:
         return 0
     nvars = len(tuple(generators[0][0]))
-    mono = _monomials_exact(nvars, d)
-    midx = {m: k for k, m in enumerate(mono)}
+    midx = _monomials_exact(nvars, d)
     return rank_sparse(_multiple_rows(generators, d, midx, nvars))
 
 
@@ -158,11 +156,10 @@ def _colon_system(ideals: Sequence, form: Sequence, e: int, d: int) -> tuple[int
     check_ints("e and d", e, d)
     check_ints("e", e, low=0)
     nvars = len(tuple(form))
-    mono = _monomials_exact(nvars, d + e)
-    midx = {m: k for k, m in enumerate(mono)}
+    midx = _monomials_exact(nvars, d + e)
     ideal_rows = [_multiple_rows(gens, d + e, midx, nvars) for gens in ideals]
     zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
-    return len(mono), [list(pivot_rows(rows)) for rows in ideal_rows], zrows
+    return len(midx), [list(pivot_rows(rows)) for rows in ideal_rows], zrows
 
 
 def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Sequence,

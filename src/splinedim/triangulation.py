@@ -129,13 +129,11 @@ class Edge:
 class OneTieParams:
     """Local data of the unique totally interior edge.
 
-    tau joins v1 and v2; besides tau there are p edges at v1 with s distinct
-    slopes and q edges at v2 with t distinct slopes, normalized so s <= t.
+    Besides tau there are p edges at one endpoint with s distinct slopes and
+    q edges at the other with t distinct slopes, normalized so s <= t.
     """
 
     tau: tuple[int, int]
-    v1: int
-    v2: int
     p: int
     q: int
     s: int
@@ -382,7 +380,7 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     edges = []
     for (u, v) in sorted(edge_map):
         incid = sorted(t for t, _ in edge_map[(u, v)])
-        tot = len(incid) == 2 and kinds[u] == "interior" and kinds[v] == "interior"
+        tot = kinds[u] == "interior" and kinds[v] == "interior"
         slope = _primitive(lat[v][0] - lat[u][0], lat[v][1] - lat[u][1])
         edges.append(Edge(u, v, slope, tuple(incid), tot))
 
@@ -454,14 +452,12 @@ def extract_one_tie_params(tri: Triangulation) -> OneTieParams:
         slopes = {e.slope for e in others}
         return len(others), len(slopes), tie.slope in slopes
 
-    p_a, s_a, coll_a = star(tie.u)
-    p_b, s_b, coll_b = star(tie.v)
-    if s_a <= s_b:
-        v1, v2, p, q, s, t = tie.u, tie.v, p_a, p_b, s_a, s_b
-    else:
-        v1, v2, p, q, s, t = tie.v, tie.u, p_b, p_a, s_b, s_a
+    p, s, coll_a = star(tie.u)
+    q, t, coll_b = star(tie.v)
+    if s > t:
+        p, q, s, t = q, p, t, s
     return OneTieParams(
-        tau=tie.key, v1=v1, v2=v2, p=p, q=q, s=s, t=t,
+        tau=tie.key, p=p, q=q, s=s, t=t,
         trivial_slope_collision=coll_a or coll_b,
     )
 

@@ -79,7 +79,7 @@ def _sweep():
     for r in range(1, 13):
         for s in range(2, r + 2):
             for t in range(s, r + 2):
-                params = tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=t + 2, q=t + 2,
+                params = tg.OneTieParams(tau=(0, 1), p=t + 2, q=t + 2,
                                          s=s, t=t, trivial_slope_collision=False)
                 tp = TiePair(s, t, r)
                 cells = []

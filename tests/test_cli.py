@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from splinedim import cli, oracle
+from splinedim import cli, dimension, oracle
 from splinedim import triangulation as tg
 
 import conftest
@@ -75,6 +79,35 @@ def test_dim_lattice_on_trivial_mesh_fails(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("route, message", [
+    ("homology_dim", "lattice 136 vs explicit 135"),
+    ("f_explicit", "lattice 135 vs explicit 136"),
+])
+def test_dim_route_disagreement_exits_1(capsys, monkeypatch, route, message):
+    # d = 12 lies in the middle branch at r = 8, so both routes run and one is off by one
+    real = getattr(dimension, route)
+    monkeypatch.setattr(dimension, route, lambda *args: real(*args) + 1)
+    code, out, err = run(capsys, "dim", "figure2", "--r", "8", "--d", "12")
+    assert (code, out) == (1, "")
+    assert err == f"error: internal disagreement at d=12, r=8: {message}\n"
+
+
+def test_module_entry_point():
+    # README documents python -m splinedim.cli; run it as a separate interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "splinedim.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = module("dim", "figure2", "--r", "8", "--d", "12")
+    assert (done.returncode, done.stdout) == (0, "L=134 H1=1 dim=135 method=lattice\n")
+    done = module("dim", "figure2", "--r", "-1", "--d", "3")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
 # --------------------------------------------------------------- table
 
 def test_table_csv_shape(capsys):
@@ -132,10 +165,15 @@ def test_table_tsv_and_pretty(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header.split() == ["r", "d", "L", "H1", "dim", "method"]
-    # with no rows the header alone sets the widths
-    code, out, err = run(capsys, "table", "figure2", "--r", "2", "--dmax", "-1",
-                         "--format", "pretty")
-    assert (code, out, err) == (0, "r  d  L  H1  dim  method\n", "")
+
+
+def test_table_negative_dmax_exits_1(capsys):
+    # a table with no rows is refused, as dim refuses a negative degree
+    code, out, err = run(capsys, "table", "figure2", "--r", "2", "--dmax", "-1")
+    assert (code, out, err) == (1, "", "error: dmax must be at least 0, got -1\n")
+    # the mesh is still loaded first, so a missing file exits 2
+    code, out, _ = run(capsys, "table", "/no/such/file.mesh", "--r", "2", "--dmax", "-1")
+    assert (code, out) == (2, "")
 
 
 # ---------------------------------------------------------- regularity

@@ -21,12 +21,12 @@ _FIG2, _TOH = tg.load_bundled("figure2"), tg.load_bundled("tohaneanu")
 
 
 def _fig2_params():
-    return tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=6, q=5, s=3, t=4,
+    return tg.OneTieParams(tau=(0, 1), p=6, q=5, s=3, t=4,
                            trivial_slope_collision=False)
 
 
 def _toh_params():
-    return tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=4, q=4, s=2, t=2,
+    return tg.OneTieParams(tau=(0, 1), p=4, q=4, s=2, t=2,
                            trivial_slope_collision=False)
 
 
@@ -219,7 +219,7 @@ def test_trivial_cases_raise():
     params = _fig2_params()
     with pytest.raises(dm.TrivialCase):
         dm.dim_lattice(params, 5, 2)  # r = 2: endpoint has r + 3 slopes
-    collided = tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=6, q=5, s=3, t=4,
+    collided = tg.OneTieParams(tau=(0, 1), p=6, q=5, s=3, t=4,
                                trivial_slope_collision=True)
     with pytest.raises(dm.TrivialCase):
         dm.dim_explicit(collided, 9, 6)
@@ -264,6 +264,18 @@ def test_dim_auto_figure2(fig2):
     rep = dm.dim(fig2, 12, 8)
     assert (rep.lower_bound, rep.correction, rep.total) == (134, 1, 135)
     assert rep.method == "lattice"
+
+
+@pytest.mark.parametrize("route, message", [
+    ("homology_dim", "lattice 136 vs explicit 135"),
+    ("f_explicit", "lattice 135 vs explicit 136"),
+])
+def test_dim_auto_refuses_when_the_routes_disagree(fig2, monkeypatch, route, message):
+    # (12, 8) is in the middle branch (104/9 < 12 <= 12.25), where both routes count
+    real = getattr(dm, route)
+    monkeypatch.setattr(dm, route, lambda *args: real(*args) + 1)
+    with pytest.raises(dm.DimensionError, match=f"^internal disagreement at d=12, r=8: {message}$"):
+        dm.dim(fig2, 12, 8)
 
 
 def test_dim_auto_trivial_figure2(fig2):

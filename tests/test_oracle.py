@@ -92,7 +92,7 @@ def test_oracle_negative_degree(fig2):
         orc.dim_spline_oracle(fig2, 3, -2)
 
 
-_MIDX2 = {m: k for k, m in enumerate(orc._monomials_exact(2, 2))}
+_MIDX2 = orc._monomials_exact(2, 2)
 _PAIR = ([((1, 0, 1), 2)], [((0, 1, 1), 2)], (0, 0, 1))
 
 
@@ -185,8 +185,10 @@ def _monomials_referee(nvars, d):
 @pytest.mark.parametrize("nvars", range(5))
 def test_monomials_exact_descending_lex(nvars):
     for d in range(-3, 14):
+        midx = orc._monomials_exact(nvars, d)
         # no monomial has a negative degree, in any number of variables
-        assert orc._monomials_exact(nvars, d) == (_monomials_referee(nvars, d) if d >= 0 else [])
+        assert list(midx) == (_monomials_referee(nvars, d) if d >= 0 else [])
+        assert list(midx.values()) == list(range(len(midx)))
 
 
 def test_hilbert_ideal_oracle_rejects_zero_form_in_no_variables():

@@ -127,7 +127,6 @@ def test_params_swap_endpoints_to_put_fewer_slopes_first(fig2):
     tri = tg.build([fig2.vertices[swap.get(i, i)] for i in range(len(fig2.vertices))],
                    [tuple(swap.get(i, i) for i in t) for t in fig2.triangles])
     p = tg.extract_one_tie_params(tri)
-    assert (p.v1, p.v2) == (1, 0)
     assert (p.p, p.q, p.s, p.t) == (6, 5, 3, 4)
     for r in range(1, 9):
         for d in range(20):
@@ -144,20 +143,20 @@ def test_extract_params_requires_unique_tie():
 
 def test_one_tie_params_validation():
     with pytest.raises(ValueError):
-        tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=2, q=4, s=3, t=4,
+        tg.OneTieParams(tau=(0, 1), p=2, q=4, s=3, t=4,
                         trivial_slope_collision=False)
     with pytest.raises(ValueError):
-        tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=5, q=4, s=4, t=3,
+        tg.OneTieParams(tau=(0, 1), p=5, q=4, s=4, t=3,
                         trivial_slope_collision=False)
     # counts are integers: a float or a bool is refused before any range check
     for bad in ({"p": 6.5}, {"s": 3.0}, {"q": True}, {"t": 4.0}):
         fields = {"p": 6, "q": 5, "s": 3, "t": 4} | bad
         with pytest.raises(ValueError, match="p, q, s and t must be integers"):
-            tg.OneTieParams(tau=(0, 1), v1=0, v2=1, trivial_slope_collision=False, **fields)
+            tg.OneTieParams(tau=(0, 1), trivial_slope_collision=False, **fields)
 
 
 @pytest.mark.parametrize("call, error", [
-    pytest.param(lambda: tg.OneTieParams(tau=(0, 1), v1=0, v2=1, p=3, q=3, s=3, t=4,
+    pytest.param(lambda: tg.OneTieParams(tau=(0, 1), p=3, q=3, s=3, t=4,
                                          trivial_slope_collision=False),
                  ValueError, id="OneTieParams-t-above-q"),
     pytest.param(lambda: tg.load_bundled("nosuch"), FileNotFoundError, id="load_bundled-unknown"),
