@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -66,6 +66,22 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """(p/g)*row - (v/g)*prow, g the gcd of the leading entries p = prow[col] and
+    v = row[col]: the row is updated in place when p/g is 1, otherwise a new one is made."""
+    pval = prow[col]
+    g = math.gcd(pval, row[col])
+    mr, mv = pval // g, row[col] // g
+    new = row if mr == 1 else {c: mr * w for c, w in row.items()}
+    for c, w in prow.items():
+        x = new.get(c, 0) - mv * w
+        if x:
+            new[c] = x
+        elif c in new:
+            del new[c]
+    return new
+
+
 def pivot_rows(rows: Sequence[dict[int, int]]) -> Iterator[dict[int, int]]:
     """Echelon basis over Q of integer {column: value} rows, one pivot row at a time.
 
@@ -74,9 +90,9 @@ def pivot_rows(rows: Sequence[dict[int, int]]) -> Iterator[dict[int, int]]:
     swept in ascending order, so the bucket of the current column holds every
     live row that leads there.  Its pivot has the shortest leading entry, then
     the fewest entries, and is yielded as soon as it is chosen; it is never
-    changed afterwards.  Every other row becomes (p/g)*row - (v/g)*pivot, g the
-    gcd of the two leading entries p and v (in place when p/g is 1), and moves
-    to its new leading column's bucket.  Pivot choice affects growth only.
+    changed afterwards.  Every other row is eliminated against it (see
+    _eliminate) and moves to its new leading column's bucket.  Pivot choice
+    affects growth only.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     cols: set[int] = set()
@@ -91,21 +107,35 @@ def pivot_rows(rows: Sequence[dict[int, int]]) -> Iterator[dict[int, int]]:
             continue
         prow = min(bucket, key=lambda row: (abs(row[col]).bit_length(), len(row)))
         yield prow
-        pval = prow[col]
         for row in bucket:
-            if row is prow:
-                continue
-            g = math.gcd(pval, row[col])
-            mr, mv = pval // g, row[col] // g
-            new = row if mr == 1 else {c2: mr * w for c2, w in row.items()}
-            for c2, w in prow.items():
-                x = new.get(c2, 0) - mv * w
-                if x:
-                    new[c2] = x
-                elif c2 in new:
-                    del new[c2]
-            if new:
-                buckets.setdefault(min(new), []).append(new)
+            if row is not prow:
+                new = _eliminate(row, prow, col)
+                if new:
+                    buckets.setdefault(min(new), []).append(new)
+
+
+def extend_rank(basis: Sequence[dict[int, int]], rows: Iterable[dict[int, int]],
+                ncols: int) -> int:
+    """rank(basis + rows) - len(basis) for an echelon basis, such as pivot_rows yields.
+
+    Each row is copied without its zero entries and eliminated against the
+    pivot of its leading column until it is zero or leads where no pivot is;
+    there it becomes a pivot itself.  Pivots never change, and no input row is
+    mutated.  Rows are read only until the pivots fill all ncols columns.
+    """
+    pivots = {min(row): row for row in basis}
+    if len(pivots) < ncols:
+        for r in rows:
+            row = {c: v for c, v in r.items() if v}
+            while row:
+                col = min(row)
+                if col not in pivots:
+                    pivots[col] = row
+                    break
+                row = _eliminate(row, pivots[col], col)
+            if len(pivots) == ncols:
+                break
+    return len(pivots) - len(basis)
 
 
 def rank_sparse(rows: Sequence[dict[int, int]]) -> int:

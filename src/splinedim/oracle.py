@@ -9,12 +9,13 @@ the closed forms is therefore a real test, not a tautology.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
 from operator import add
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import triangulation as tg
-from .exact import check_ints, kernel_dim_sparse, parse_rational, pivot_rows, rank_sparse
+from .exact import check_ints, extend_rank, kernel_dim_sparse, parse_rational, pivot_rows
 
 
 class OracleError(Exception):
@@ -114,20 +115,46 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
 
 
 def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,
-                   midx: dict, nvars: int) -> list[dict[int, int]]:
-    """Rows spanning the degree-d piece of the ideal the generators cut out."""
-    rows = []
+                   midx: dict, nvars: int) -> Iterator[list[dict[int, int]]]:
+    """Rows spanning the degree-d piece of the ideal the generators cut out,
+    one list per generator of degree at most d.
+
+    Every generator is checked here, before any row is built, so a caller
+    that stops reading early still refuses a bad generator late in the list.
+    """
+    forms = []
     for coeffs, power in generators:
         if len(tuple(coeffs)) != nvars:
             raise ValueError("generator arity mismatch")
         check_ints("generator exponent", power, low=0)
-        form = _int_linear_form(coeffs)
-        if power > d:
-            continue
-        gen = _power(form, power)
-        for mono in _monomials_exact(nvars, d - power):
-            rows.append({midx[tuple(map(add, mono, pm))]: pc for pm, pc in gen.items()})
-    return rows
+        forms.append((_int_linear_form(coeffs), power))
+
+    def row_lists() -> Iterator[list[dict[int, int]]]:
+        for form, power in forms:
+            if power <= d:
+                gen = _power(form, power)
+                yield [{midx[tuple(map(add, mono, pm))]: pc for pm, pc in gen.items()}
+                       for mono in _monomials_exact(nvars, d - power)]
+    return row_lists()
+
+
+def _ideal_basis(row_lists: Iterable[list[dict[int, int]]], ncols: int) -> list[dict[int, int]]:
+    """Echelon basis of the span of the rows, read one list at a time.
+
+    Rows are swept (with whatever basis is already found) only once there are
+    enough of them to fill all ncols columns, and no further list is read once
+    the basis fills them.
+    """
+    basis: list[dict[int, int]] = []
+    pending: list[dict[int, int]] = []
+    for rows in row_lists:
+        pending += rows
+        if len(basis) + len(pending) >= ncols:
+            basis = list(islice(pivot_rows(basis + pending), ncols))
+            pending = []
+            if len(basis) == ncols:
+                return basis
+    return list(pivot_rows(basis + pending)) if pending else basis
 
 
 def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> int:
@@ -141,25 +168,20 @@ def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> 
         return 0
     nvars = len(tuple(generators[0][0]))
     midx = _monomials_exact(nvars, d)
-    return rank_sparse(_multiple_rows(generators, d, midx, nvars))
-
-
-def _colon_dim(basis: list[dict[int, int]], zrows: list[dict[int, int]]) -> int:
-    """Kernel dimension of the rows zrows modulo the span of independent rows basis."""
-    return len(zrows) - (rank_sparse(basis + zrows) - len(basis))
+    return len(_ideal_basis(_multiple_rows(generators, d, midx, nvars), len(midx)))
 
 
 def _colon_system(ideals: Sequence, form: Sequence, e: int, d: int) -> tuple[int, list, list]:
     """The colon oracles' set-up in degree d + e: the monomial count, one echelon
-    basis per ideal (every ideal's rows built before any elimination) and the
-    rows of form^e times each degree-d monomial."""
+    basis per ideal (every generator and the form checked before any elimination)
+    and the rows of form^e times each degree-d monomial."""
     check_ints("e and d", e, d)
     check_ints("e", e, low=0)
     nvars = len(tuple(form))
     midx = _monomials_exact(nvars, d + e)
     ideal_rows = [_multiple_rows(gens, d + e, midx, nvars) for gens in ideals]
-    zrows = _multiple_rows([(form, e)], d + e, midx, nvars)
-    return len(midx), [list(pivot_rows(rows)) for rows in ideal_rows], zrows
+    zrows = [row for rows in _multiple_rows([(form, e)], d + e, midx, nvars) for row in rows]
+    return len(midx), [_ideal_basis(rows, len(midx)) for rows in ideal_rows], zrows
 
 
 def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Sequence,
@@ -169,8 +191,8 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     Computed as the kernel dimension of multiplication by form^e into the
     quotient by the ideal, using ranks only.
     """
-    _, (basis,), zrows = _colon_system([generators], form, e, d)
-    return _colon_dim(basis, zrows)
+    ncols, (basis,), zrows = _colon_system([generators], form, e, d)
+    return len(zrows) - extend_rank(basis, zrows, ncols)
 
 
 def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple[Sequence, int]],
@@ -184,7 +206,9 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     # the second quotient's columns sit past the first's, so b1 and b2 stay independent
     both = b1 + [{n_big + k: v for k, v in row.items()} for row in b2]
     paired = [row | {n_big + k: v for k, v in row.items()} for row in zrows]
-    return (_colon_dim(b1, zrows), _colon_dim(b2, zrows), _colon_dim(both, paired))
+    n = len(zrows)
+    return (n - extend_rank(b1, zrows, n_big), n - extend_rank(b2, zrows, n_big),
+            n - extend_rank(both, paired, 2 * n_big))
 
 
 def _validated_slopes(values: Sequence, what: str) -> list[Fraction]:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from splinedim.exact import (
     binom,
+    extend_rank,
     format_rational,
     kernel_dim_sparse,
     parse_rational,
@@ -269,6 +270,32 @@ def test_pivot_rows_are_an_echelon_basis(dense):
     assert len(pivots) == _referee_rank(sparse, nc)
     assert _referee_rank(pivots + sparse, nc) == len(pivots)
     assert sparse == before
+
+
+_dense_pair = st.integers(1, 8).flatmap(
+    lambda nc: st.tuples(*[st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
+                                    max_size=8)] * 2, st.just(nc)))
+
+
+@given(_dense_pair)
+def test_extend_rank_counts_the_new_pivots(case):
+    base, extra, nc = case
+    basis = list(pivot_rows([dict(enumerate(row)) for row in base]))
+    rows = [dict(enumerate(row)) for row in extra]
+    before = ([dict(row) for row in basis], [dict(row) for row in rows])
+    read = []
+
+    def feed():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    assert extend_rank(basis, feed(), nc) == rank_sparse(basis + rows) - len(basis)
+    # rows are read until the basis and the rows read so far fill every column, and no further
+    full = next((k for k in range(len(rows) + 1) if rank_sparse(basis + rows[:k]) == nc),
+                len(rows))
+    assert len(read) == full
+    assert (basis, rows) == before
 
 
 @pytest.mark.parametrize("call, error", [

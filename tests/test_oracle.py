@@ -4,6 +4,7 @@ Every function here recomputes a dimension by exact linear algebra on a
 monomial basis, with no shared code path to the formulas being checked.
 """
 
+import re
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from splinedim import oracle as orc
 from splinedim import triangulation as tg
 from splinedim import dimension as dm
-from splinedim.exact import binom
+from splinedim.exact import binom, pivot_rows, rank_sparse
 from splinedim.power_ideal import (
     TiePair,
     hilbert_colon,
@@ -94,6 +95,12 @@ def test_oracle_negative_degree(fig2):
 
 _MIDX2 = orc._monomials_exact(2, 2)
 _PAIR = ([((1, 0, 1), 2)], [((0, 1, 1), 2)], (0, 0, 1))
+# x and y (and z) fill every degree from 1 on, so an oracle could stop before the last generator
+_FULL2 = [((1, 0), 1), ((0, 1), 1)]
+_FULL3 = [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)]
+_ARITY = ValueError("generator arity mismatch")
+_NEG = ValueError("generator exponent must be at least 0, got -1")
+_ZERO = ValueError("zero linear form")
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -142,10 +149,36 @@ _PAIR = ([((1, 0, 1), 2)], [((0, 1, 1), 2)], (0, 0, 1))
                  id="homology-float-d"),
     pytest.param(lambda: orc.homology_dim_oracle(2.0, 2, 1, [1, 2], [3, 4], 3), ValueError,
                  id="homology-float-s"),
+    # a bad generator or form after generators that already fill the degree is still refused
+    pytest.param(lambda: orc.hilbert_ideal_oracle(_FULL2 + [((1, 0, 0), 1)], 4), _ARITY,
+                 id="ideal-full-then-arity-mismatch"),
+    pytest.param(lambda: orc.hilbert_ideal_oracle(_FULL2 + [((1, 1), -1)], 4), _NEG,
+                 id="ideal-full-then-negative-exponent"),
+    pytest.param(lambda: orc.hilbert_ideal_oracle(_FULL2 + [((0, 0), 2)], 4), _ZERO,
+                 id="ideal-full-then-zero-form"),
+    pytest.param(lambda: orc.hilbert_colon_oracle(_FULL2 + [((1, 0, 0), 1)], (1, 1), 1, 3),
+                 _ARITY, id="colon-full-then-arity-mismatch"),
+    pytest.param(lambda: orc.hilbert_colon_oracle(_FULL2 + [((1, 1), -1)], (1, 1), 1, 3), _NEG,
+                 id="colon-full-then-negative-exponent"),
+    pytest.param(lambda: orc.hilbert_colon_oracle(_FULL2 + [((0, 0), 2)], (1, 1), 1, 3), _ZERO,
+                 id="colon-full-then-zero-form"),
+    pytest.param(lambda: orc.hilbert_colon_oracle(_FULL2, (0, 0), 1, 3), _ZERO,
+                 id="colon-full-then-zero-colon-form"),
+    pytest.param(lambda: orc.colon_pair_dims(_FULL3 + [((1, 0), 1)], _FULL3, (0, 0, 1), 1, 3),
+                 _ARITY, id="pair-full-then-arity-mismatch"),
+    pytest.param(lambda: orc.colon_pair_dims(_FULL3, _FULL3 + [((1, 1, 1), -1)], (0, 0, 1), 1, 3),
+                 _NEG, id="pair-full-then-negative-exponent"),
+    pytest.param(lambda: orc.colon_pair_dims(_FULL3, _FULL3 + [((0, 0, 0), 2)], (0, 0, 1), 1, 3),
+                 _ZERO, id="pair-full-then-zero-form"),
+    pytest.param(lambda: orc.colon_pair_dims(_FULL3, _FULL3, (0, 0, 0), 1, 3), _ZERO,
+                 id="pair-full-then-zero-colon-form"),
 ])
 def test_argument_contracts(call, expected):
     if isinstance(expected, type):
         with pytest.raises(expected):
+            call()
+    elif isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
             call()
     else:
         assert call() == expected
@@ -254,6 +287,52 @@ def test_colon_pair_dims_consistency():
     for d in range(0, 8):
         dim1, dim2, dim_both = orc.colon_pair_dims(gens1, gens2, (0, 0, 1), 2, d)
         assert 0 <= dim_both <= min(dim1, dim2)
+
+
+_COEFF = st.sampled_from([0, 1, -1, 2, -3, "1/2", "-2/3", "5/3"])
+
+
+def _forms(nvars):
+    return st.lists(_COEFF, min_size=nvars, max_size=nvars).filter(
+        lambda c: any(x != 0 for x in c)).map(tuple)
+
+
+def _rows(gens, d, nvars):
+    """Every generator's multiples in degree d, in one list."""
+    midx = orc._monomials_exact(nvars, d)
+    return [row for rows in orc._multiple_rows(gens, d, midx, nvars) for row in rows]
+
+
+def _colon_referee(ideal_rows, zrows):
+    """Kernel dimension of zrows modulo the span of ideal_rows, every row eliminated."""
+    basis = list(pivot_rows(ideal_rows))
+    return len(zrows) - (rank_sparse(basis + zrows) - len(basis))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_ideal_oracles_match_full_elimination(data):
+    # exponent 0 makes a generator 1, so low exponents and high degrees fill every column
+    nvars = data.draw(st.sampled_from([2, 3]))
+    gens1, gens2 = (data.draw(st.lists(st.tuples(_forms(nvars), st.integers(0, 5)),
+                                       min_size=1, max_size=4)) for _ in range(2))
+    form = data.draw(_forms(nvars))
+    e = data.draw(st.integers(0, 4))
+    d = data.draw(st.integers(-2, 12 if nvars == 2 else 7))
+    assert orc.hilbert_ideal_oracle(gens1, d) == rank_sparse(_rows(gens1, d, nvars))
+    rows1, rows2 = _rows(gens1, d + e, nvars), _rows(gens2, d + e, nvars)
+    zrows = _rows([(form, e)], d + e, nvars)
+    dim1 = _colon_referee(rows1, zrows)
+    assert orc.hilbert_colon_oracle(gens1, form, e, d) == dim1
+    n = len(orc._monomials_exact(nvars, d + e))
+
+    def shift(row):
+        return {n + k: v for k, v in row.items()}
+
+    both = _colon_referee(rows1 + [shift(row) for row in rows2],
+                          [row | shift(row) for row in zrows])
+    assert orc.colon_pair_dims(gens1, gens2, form, e, d) == \
+        (dim1, _colon_referee(rows2, zrows), both)
 
 
 # ----------------------------------------------------- homology oracle
