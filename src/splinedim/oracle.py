@@ -1,9 +1,52 @@
 """Brute-force cross-checks via exact linear algebra.
 
 Nothing here reuses the combinatorial formulas: spline dimensions come from
-the kernel of the smoothness system across interior edges, and Hilbert
-function values come from ranks of multiplication matrices.  Agreement with
-the closed forms is therefore a real test, not a tautology.
+the kernel of the conformality conditions, and Hilbert function values come
+from ranks of multiplication matrices.  Agreement with the closed forms is
+therefore a real test, not a tautology.
+
+The spline oracle rests on the conformality theorem (Chui and Wang 1983, "On
+smooth multivariate spline functions", Math. Comp.).  Fix the polynomial p
+on one triangle.  Across each interior edge tau, with first triangle t and
+second t', a spline s of degree d and smoothness r has s|t - s|t' =
+l_tau^(r+1) q_tau, where l_tau vanishes on the edge and the cofactor q_tau
+has degree at most d - r - 1.  Conversely p and the cofactors define a
+spline exactly when, at each interior vertex v, the cofactors of the edges
+at v satisfy the conformality condition sum sigma_tau l_tau^(r+1) q_tau = 0.
+So the dimension is binom(d + 2, 2), plus binom(d - r + 1, 2) for each chord
+(an interior edge with both endpoints on the boundary, whose cofactor is in
+no condition), plus the kernel dimension of the conditions.
+
+The theorem needs the triangles to be edge-connected, every interior vertex
+to be ringed by one cycle of triangles, and the loops around the interior
+vertices to span every cycle of triangles.  build() certifies exactly that
+much: the mesh is an edge-connected disk and the fan around each interior
+vertex winds once.  On a disk with V_i interior vertices, E_i interior edges
+and T triangles, Euler's formula gives E_i - T + 1 = V_i.  The V_i vertex
+loops bound the bounded faces of the plane graph of triangles and interior
+edges, so they are independent, and they span its whole cycle space.
+
+Centred at v, l_tau is the form dy X - dx Y of the edge's primitive slope
+(dx, dy), with X = x - v.x and Y = y - v.y; it is the same polynomial at the
+edge's other endpoint, which lies on the line.  The condition is then a sum
+of homogeneous terms and splits by degree: its degree-m part involves only
+the degree m - r - 1 parts of the cofactors, when those are expanded at v.
+Walking counterclockwise around v across tau from t to t' adds s|t - s|t'.
+If v, w (w the other endpoint) are consecutive in the counterclockwise
+order of tau's first triangle, that triangle lies left of the ray from v to
+w, so the walk enters it and sigma_tau = -1; otherwise sigma_tau = 1.  As
+build() makes every triangle counterclockwise, sigma is a test on indices.
+
+A spoke, an edge with one interior endpoint, is in one condition and is
+expanded at that endpoint, its home.  A tie, a totally interior edge, is in
+the conditions at both endpoints; it is expanded at u, its home, and at
+v = u + w it reads q(X + w_x, Y + w_y), whose degree-k part involves only
+coefficients of degree at least k: the translation is block-triangular by
+degree.  The tie's degree-k columns are scaled by D^k, D the common
+denominator of w, so that every entry is an integer.  Columns run over the
+spokes grouped by (home, degree), then over the ties by (tie, degree), so
+the ascending sweep of pivot_rows eliminates each (vertex, degree) block on
+its own and only the tie columns couple blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +58,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from . import triangulation as tg
-from .exact import check_ints, extend_rank, kernel_dim_sparse, parse_rational, pivot_rows
+from .exact import binom, check_ints, extend_rank, kernel_dim_sparse, parse_rational, pivot_rows
 
 
 class OracleError(Exception):
@@ -71,47 +114,76 @@ def _power(form: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool = False) -> int:
-    """Spline space dimension as the kernel dimension of the smoothness system.
+def _binomial(n: int, p: int, q: int) -> list[tuple[int, int]]:
+    """(j, c) for each nonzero term c X^j of (p X + q)^n, which is also the
+    term c X^j Y^(n-j) of the form (p X + q Y)^n."""
+    return [(j, c) for j in range(n + 1) if (c := comb(n, j) * p ** j * q ** (n - j))]
 
-    Unknowns: one polynomial of degree <= d per triangle plus one multiplier
-    of degree <= d - r - 1 per interior edge.  For each interior edge the
-    difference of the two adjacent polynomials must equal the edge form to
-    the power r + 1 times the multiplier.  Multipliers are determined by the
-    spline, so the kernel dimension equals the spline space dimension.
-    Polynomials are homogenized as forms in (z, x, y), so a polynomial of
-    degree <= d is a form of degree exactly d.
+
+def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict[int, int]], int]:
+    """Integer rows of the conformality conditions, and their column count.
+
+    The columns are the coefficients of each cofactor at monomials of degree
+    k <= d - r - 1 centred at its home: spokes first, grouped by (home,
+    degree), then ties by (tie, degree).  There is one row per interior
+    vertex v, degree m and monomial X^a Y^(m-a) centred at v.
+    """
+    n = d - r - 1
+    edges, verts = tri.edges, tri.vertices
+    ties = [i for i, e in enumerate(edges) if e.totally_interior]
+    spokes = [(i, k) for v in tri.interior_vertices for k in range(n + 1)
+              for i in tri.edges_at[v] if not edges[i].totally_interior]
+    base: dict[tuple[int, int], int] = {}
+    ncols = 0
+    for key in spokes + [(i, k) for i in ties for k in range(n + 1)]:
+        base[key] = ncols
+        ncols += key[1] + 1
+
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    for v in tri.interior_vertices:
+        for i in tri.edges_at[v]:
+            e = edges[i]
+            t0, t1, t2 = tri.triangles[e.triangles[0]]
+            sign = -1 if (v, e.u + e.v - v) in ((t0, t1), (t1, t2), (t2, t0)) else 1
+            power = [(j, sign * c) for j, c in _binomial(r + 1, e.slope.dy, -e.slope.dx)]
+            # a tie's columns are scaled by den^k so that its translation w
+            # from home u to v is the integer vector wx, wy over den
+            wx = wy = 0
+            den = 1
+            if e.totally_interior:
+                w = [q - p for p, q in zip(verts[e.u], verts[e.v])]
+                den = lcm(*(c.denominator for c in w))
+                if v == e.v:
+                    wx, wy = (c.numerator * (den // c.denominator) for c in w)
+            for k in range(n + 1):
+                for x in range(k + 1):
+                    col = base[i, k] + x
+                    # the column's monomial read at v: (den X + wx)^x (den Y + wy)^(k-x)
+                    ys = _binomial(k - x, den, wy)
+                    for a, ca in _binomial(x, den, wx):
+                        for b, cb in ys:
+                            for j, c in power:
+                                row = rows.setdefault((v, a + b + r + 1, a + j), {})
+                                row[col] = row.get(col, 0) + c * ca * cb
+    return [{c: x for c, x in row.items() if x} for row in rows.values()], ncols
+
+
+def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool = False) -> int:
+    """Dimension of the splines of degree d and smoothness r on tri.
+
+    That is the polynomials, the chords' free cofactors and the kernel of
+    the conformality conditions, as the module docstring explains.  The
+    guardrail counts the unknowns of a direct assembly instead: a polynomial
+    per triangle and a multiplier per interior edge.
     """
     check_ints("d and r", d, r, low=0)
     interior = tri.interior_edges()
-    n_tri = len(tri.triangles)
-    midx = _monomials_exact(3, d)
-    n_poly = len(midx)
-    mono_h = _monomials_exact(3, d - r - 1)
-    n_mult = len(mono_h)
-    ncols = n_tri * n_poly + len(interior) * n_mult
-    if ncols > MAX_COLUMNS and not allow_large:
-        raise TooLarge(f"{ncols} unknowns exceeds the {MAX_COLUMNS} column guardrail")
-
-    rows: list[dict[int, int]] = []
-    for k_e, edge in enumerate(interior):
-        t1, t2 = edge.triangles
-        base1 = t1 * n_poly
-        base2 = t2 * n_poly
-        baseh = n_tri * n_poly + k_e * n_mult
-        eqs: list[dict[int, int]] = [{base1 + k: 1, base2 + k: -1} for k in range(n_poly)]
-        if mono_h:
-            p = tri.vertices[edge.u]
-            q = tri.vertices[edge.v]
-            a = q.y - p.y
-            b = p.x - q.x
-            # the edge's line a*x + b*y + c = 0, homogenized with z first
-            power = _power(_int_linear_form((-(a * p.x + b * p.y), a, b)), r + 1)
-            for hm, hk in mono_h.items():
-                for pm, pc in power.items():
-                    eqs[midx[hm[0] + pm[0], hm[1] + pm[1], hm[2] + pm[2]]][baseh + hk] = -pc
-        rows.extend(eqs)
-    return kernel_dim_sparse(rows, ncols)
+    n_cof = binom(d - r + 1, 2)
+    unknowns = len(tri.triangles) * binom(d + 2, 2) + len(interior) * n_cof
+    if unknowns > MAX_COLUMNS and not allow_large:
+        raise TooLarge(f"{unknowns} unknowns exceeds the {MAX_COLUMNS} column guardrail")
+    chords = sum(tri.vertex_kind[e.u] == tri.vertex_kind[e.v] == "boundary" for e in interior)
+    return binom(d + 2, 2) + chords * n_cof + kernel_dim_sparse(*_conformality_rows(tri, d, r))
 
 
 def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,

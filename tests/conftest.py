@@ -1,4 +1,7 @@
-"""Shared fixtures: bundled meshes, a few tiny hand-built ones and rational affine images."""
+"""Shared fixtures: bundled meshes, a few tiny hand-built ones, one-tie stars and
+rational affine images."""
+
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, settings, strategies as st
@@ -64,6 +67,21 @@ def slope_collision_star():
     return tg.build(verts, tris)
 
 
+def morgan_scott(inner_b=(15, 12)):
+    """The Morgan-Scott split of the triangle A, B, C = (0, 0), (36, 0), (18, 36):
+    an inner triangle a, b, c with each outer vertex joined to two inner ones,
+    so the three inner edges are ties on one cycle.
+
+    With b at (15, 12) the inner vertices are in special position: C^1_2 has
+    dimension 7 and C^2_4 has 16, against the generic 6 and 15 that b at
+    (16, 12) gives.
+    """
+    A, B, C, a, b, c = range(6)
+    verts = [(0, 0), (36, 0), (18, 36), (12, 12), inner_b, (21, 15)]
+    tris = [(a, b, c), (A, B, b), (A, b, a), (B, C, c), (B, c, b), (C, A, a), (C, a, c)]
+    return tg.build(verts, tris)
+
+
 def glue_quad(tri, a, b):
     """Glue the quadrilateral a, b, (4, -2), (4, 2) onto the boundary edge (a, b),
     fanned around its own interior vertex (3, 0) whose four edges have four slopes.
@@ -112,6 +130,33 @@ def affine_images(draw, meshes):
     assume(a * d != b * c)
     e, f = draw(entry), draw(entry)
     return [(a * x + b * y + e, c * x + d * y + f) for x, y in verts], tris
+
+
+@st.composite
+def one_tie_stars(draw):
+    """Two interior vertices (-1/2, 0) and (1/2, 0) joined by the one totally
+    interior edge, fanned to rational points on the unit circle.
+
+    The circle points always include (+-1, 0) and (0, +-1), so both interior
+    vertices lie strictly inside their convex hull; (0, 1) and (0, -1) are
+    the two apexes on the tie.
+    """
+    ts = draw(st.sets(st.fractions(F(-9, 10), F(9, 10), max_denominator=12), max_size=6))
+    circle = {(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))}
+    for t in ts:
+        x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        circle |= {(x, y), (-x, -y)}
+    # counterclockwise from (0, 1): left half, then right half
+    left = sorted((p for p in circle if p[0] < 0 or p == (0, 1)), key=lambda p: -p[1])
+    right = sorted((p for p in circle if p[0] > 0 or p == (0, -1)), key=lambda p: p[1])
+    ring = left + right
+    verts = [(F(-1, 2), F(0)), (F(1, 2), F(0))] + ring
+    top, bottom = 2, 2 + ring.index((0, -1))
+    tris = [(0, 1, top), (1, 0, bottom)]
+    for k in range(len(ring)):
+        a, b = 2 + k, 2 + (k + 1) % len(ring)
+        tris.append((0 if k < bottom - 2 else 1, a, b))
+    return verts, tris
 
 
 def grid_data(n, m):

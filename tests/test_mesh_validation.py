@@ -23,7 +23,7 @@ from splinedim import triangulation as tg
 from splinedim.power_ideal import TiePair, homology_dim
 
 import conftest
-from conftest import affine_images, mesh_data
+from conftest import affine_images, mesh_data, one_tie_stars
 from mesh_referee import _orient as referee_orient, referee_quasi_cross_cut, referee_validate
 
 
@@ -58,33 +58,6 @@ def jittered_grids(draw):
     den = draw(st.sampled_from([8, 16, 24, 40]))
     jitter = st.integers(-den // 8, den // 8)
     verts = [(x + F(draw(jitter), den), y + F(draw(jitter), den)) for x, y in verts]
-    return verts, tris
-
-
-@st.composite
-def one_tie_stars(draw):
-    """Two interior vertices (-1/2, 0) and (1/2, 0) joined by the one totally
-    interior edge, fanned to rational points on the unit circle.
-
-    The circle points always include (+-1, 0) and (0, +-1), so both interior
-    vertices lie strictly inside their convex hull; (0, 1) and (0, -1) are
-    the two apexes on the tie.
-    """
-    ts = draw(st.sets(st.fractions(F(-9, 10), F(9, 10), max_denominator=12), max_size=6))
-    circle = {(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))}
-    for t in ts:
-        x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
-        circle |= {(x, y), (-x, -y)}
-    # counterclockwise from (0, 1): left half, then right half
-    left = sorted((p for p in circle if p[0] < 0 or p == (0, 1)), key=lambda p: -p[1])
-    right = sorted((p for p in circle if p[0] > 0 or p == (0, -1)), key=lambda p: p[1])
-    ring = left + right
-    verts = [(F(-1, 2), F(0)), (F(1, 2), F(0))] + ring
-    top, bottom = 2, 2 + ring.index((0, -1))
-    tris = [(0, 1, top), (1, 0, bottom)]
-    for k in range(len(ring)):
-        a, b = 2 + k, 2 + (k + 1) % len(ring)
-        tris.append((0 if k < bottom - 2 else 1, a, b))
     return verts, tris
 
 

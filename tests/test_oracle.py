@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from splinedim import oracle as orc
 from splinedim import triangulation as tg
@@ -24,6 +24,8 @@ from splinedim.power_ideal import (
 )
 
 import conftest
+from conftest import affine_images, mesh_data, one_tie_stars
+from spline_referee import referee_dim_spline
 
 
 def _gens(slopes, mults, nvars=2):
@@ -72,6 +74,15 @@ def test_oracle_cross_cut():
     assert orc.dim_spline_oracle(tri, 2, 1) == 8
 
 
+def test_oracle_morgan_scott_special_position():
+    # C^1_2 depends on the geometry, not only on the slopes at each vertex;
+    # the tie cycle makes the sign of each cofactor at each end matter
+    special, generic = conftest.morgan_scott(), conftest.morgan_scott(inner_b=(16, 12))
+    for d, r, dim in ((2, 1, 6), (4, 2, 15)):
+        assert orc.dim_spline_oracle(special, d, r) == referee_dim_spline(special, d, r) == dim + 1
+        assert orc.dim_spline_oracle(generic, d, r) == referee_dim_spline(generic, d, r) == dim
+
+
 def test_oracle_affine_invariance(toh):
     moved = tg.affine_transform(toh, [(2, 1), (0, "1/3")], ("5/2", -7))
     for d, r in ((2, 1), (4, 2), (5, 1)):
@@ -91,6 +102,65 @@ def test_oracle_negative_degree(fig2):
         orc.dim_spline_oracle(fig2, -1, 1)
     with pytest.raises(ValueError):
         orc.dim_spline_oracle(fig2, 3, -2)
+
+
+# a rational affine map whose images grow the oracle's coefficients fast
+_RATIONAL_MAP = ([("3/7", "2/5"), ("-1/3", "5/4")], ("1/2", "-2/9"))
+
+
+def test_oracle_pins_slow_direct_assembly_cells(fig2):
+    # a rational affine image at high r and figure2 at d = 40, where
+    # coefficient growth cost the direct assembly seconds to tens of seconds
+    image = tg.affine_transform(fig2, *_RATIONAL_MAP)
+    assert orc.dim_spline_oracle(image, 18, 12) == dm.dim(image, 18, 12).total == 282
+    assert orc.dim_spline_oracle(fig2, 40, 10, allow_large=True) == \
+        dm.dim(fig2, 40, 10).total == 4876
+
+
+# ------------------------------------------- spline oracle against the referee
+
+_FIG2, _TOH = tg.load_bundled("figure2"), tg.load_bundled("tohaneanu")
+_STRIP, _SQUARE_PAIR = conftest.two_tie_strip(), conftest.square_pair()
+_MIRRORED = conftest.reflect_across(_FIG2, 2, 10)
+_MORGAN_SCOTT = conftest.morgan_scott()
+NAMED_MESHES = [_FIG2, _TOH, _STRIP, _SQUARE_PAIR, _MIRRORED, conftest.reflect_across(_TOH, 3, 4),
+                _MORGAN_SCOTT, conftest.morgan_scott(inner_b=(16, 12)),
+                conftest.glue_quad(_FIG2, 2, 10), conftest.glue_quad(_TOH, 3, 4),
+                conftest.cross_cut_square(), conftest.single_triangle(),
+                conftest.slope_collision_star()]
+
+
+@st.composite
+def referee_meshes(draw):
+    """A named mesh, a type-1 grid of up to 3 x 3 cells or a one-tie star,
+    as it is or as a rational affine image."""
+    data = draw(st.one_of(st.sampled_from(NAMED_MESHES).map(mesh_data),
+                          st.builds(conftest.grid_data, st.integers(1, 3), st.integers(1, 3)),
+                          one_tie_stars()))
+    if draw(st.booleans()):
+        data = draw(affine_images(st.just(data)))
+    return tg.build(*data)
+
+
+# The loaded profile's count when it is larger (--hypothesis-profile=ci: 1000).
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(referee_meshes(), st.integers(0, 3).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(0, 2 * r + 4))))
+# r = 0; polynomials only (d <= r); chords, whose cofactors are free; two and five ties;
+# a tie cycle in special position, and its rational image
+@example(tg.build(*conftest.grid_data(2, 2)), (0, 4))
+@example(_FIG2, (3, 3))
+@example(_SQUARE_PAIR, (1, 6))
+@example(tg.build(*conftest.grid_data(1, 3)), (2, 8))
+@example(_STRIP, (1, 5))
+@example(_MIRRORED, (2, 8))
+@example(tg.build(*conftest.grid_data(3, 3)), (1, 6))
+@example(_MORGAN_SCOTT, (1, 2))
+@example(tg.affine_transform(_MORGAN_SCOTT, *_RATIONAL_MAP), (2, 4))
+def test_spline_oracle_matches_referee(tri, rd):
+    r, d = rd
+    assert orc.dim_spline_oracle(tri, d, r, allow_large=True) == referee_dim_spline(tri, d, r)
 
 
 _MIDX2 = orc._monomials_exact(2, 2)
