@@ -46,7 +46,11 @@ degree.  The tie's degree-k columns are scaled by D^k, D the common
 denominator of w, so that every entry is an integer.  Columns run over the
 spokes grouped by (home, degree), then over the ties by (tie, degree), so
 the ascending sweep of pivot_rows eliminates each (vertex, degree) block on
-its own and only the tie columns couple blocks.
+its own and only the tie columns couple blocks.  Each row has a fixed slot,
+by vertex, degree and monomial.  At a cofactor's home each term of
+l_tau^(r+1) is one store into a slot; only at a tie's far end can terms add
+up (and cancel), and there the powers of D X + w_x and D Y + w_y (w_x and
+w_y now scaled by D) are expanded once per tie and exponent.
 """
 
 from __future__ import annotations
@@ -126,9 +130,12 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     The columns are the coefficients of each cofactor at monomials of degree
     k <= d - r - 1 centred at its home: spokes first, grouped by (home,
     degree), then ties by (tie, degree).  There is one row per interior
-    vertex v, degree m and monomial X^a Y^(m-a) centred at v.
+    vertex v, degree m and monomial X^a Y^(m-a) centred at v, unless it has
+    no entry; no entry is zero.
     """
     n = d - r - 1
+    if n < 0:
+        return [], 0
     edges, verts = tri.edges, tri.vertices
     ties = [i for i, e in enumerate(edges) if e.totally_interior]
     spokes = [(i, k) for v in tri.interior_vertices for k in range(n + 1)
@@ -138,34 +145,56 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     for key in spokes + [(i, k) for i in ties for k in range(n + 1)]:
         base[key] = ncols
         ncols += key[1] + 1
+    # a tie's columns are scaled by den^k so that its translation from home u
+    # to v is the integer vector (wx, wy) over den
+    shift = {}
+    for i in ties:
+        w = [q - p for p, q in zip(verts[edges[i].u], verts[edges[i].v])]
+        den = lcm(*(c.denominator for c in w))
+        shift[i] = (den, *(c.numerator * (den // c.denominator) for c in w))
+    forms = {s: _binomial(r + 1, s.dy, -s.dx) for s in {e.slope for e in edges}}
 
-    rows: dict[tuple[int, int, int], dict[int, int]] = {}
-    for v in tri.interior_vertices:
+    # row (v, m, a) is slot vbase + off[m - r - 1] + a, where vbase is block
+    # times v's place among the interior vertices
+    off = [0]
+    for m in range(r + 1, d + 1):
+        off.append(off[-1] + m + 1)
+    block = off[-1]
+    rows: list[dict[int, int]] = [{} for _ in range(block * len(tri.interior_vertices))]
+    for vbase, v in zip(range(0, len(rows), block), tri.interior_vertices):
         for i in tri.edges_at[v]:
             e = edges[i]
             t0, t1, t2 = tri.triangles[e.triangles[0]]
             sign = -1 if (v, e.u + e.v - v) in ((t0, t1), (t1, t2), (t2, t0)) else 1
-            power = [(j, sign * c) for j, c in _binomial(r + 1, e.slope.dy, -e.slope.dx)]
-            # a tie's columns are scaled by den^k so that its translation w
-            # from home u to v is the integer vector wx, wy over den
-            wx = wy = 0
-            den = 1
-            if e.totally_interior:
-                w = [q - p for p, q in zip(verts[e.u], verts[e.v])]
-                den = lcm(*(c.denominator for c in w))
-                if v == e.v:
-                    wx, wy = (c.numerator * (den // c.denominator) for c in w)
+            den, wx, wy = shift.get(i, (1, 0, 0))
+            power = [(j, sign * c) for j, c in forms[e.slope]]
+            if v != e.v or not e.totally_interior:
+                # at home, column (k, x) reads den^k X^x Y^(k-x): one term in each
+                # row x + j; j descending fills each row in ascending column order
+                for k in range(n + 1):
+                    mbase, col0, scale = vbase + off[k], base[i, k], den ** k
+                    for j, c in reversed(power):
+                        c *= scale
+                        for x in range(k + 1):
+                            rows[mbase + j + x][col0 + x] = c
+                continue
+            # at the far end it reads (den X + wx)^x (den Y + wy)^(k-x), whose
+            # terms can cancel; each factor is expanded once per exponent
+            px = [_binomial(x, den, wx) for x in range(n + 1)]
+            qy = [_binomial(y, den, wy) for y in range(n + 1)]
             for k in range(n + 1):
                 for x in range(k + 1):
                     col = base[i, k] + x
-                    # the column's monomial read at v: (den X + wx)^x (den Y + wy)^(k-x)
-                    ys = _binomial(k - x, den, wy)
-                    for a, ca in _binomial(x, den, wx):
-                        for b, cb in ys:
+                    acc: dict[int, int] = {}
+                    for a, ca in px[x]:
+                        for b, cb in qy[k - x]:
+                            slot, cab = vbase + off[a + b] + a, ca * cb
                             for j, c in power:
-                                row = rows.setdefault((v, a + b + r + 1, a + j), {})
-                                row[col] = row.get(col, 0) + c * ca * cb
-    return [{c: x for c, x in row.items() if x} for row in rows.values()], ncols
+                                acc[slot + j] = acc.get(slot + j, 0) + cab * c
+                    for slot, c in acc.items():
+                        if c:
+                            rows[slot][col] = c
+    return [row for row in rows if row], ncols
 
 
 def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool = False) -> int:

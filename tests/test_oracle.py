@@ -117,6 +117,14 @@ def test_oracle_pins_slow_direct_assembly_cells(fig2):
         dm.dim(fig2, 40, 10).total == 4876
 
 
+def test_oracle_pins_tie_by_tie_column_order():
+    # 120 ties, each translated to its far end; with the tie columns ordered
+    # by degree across ties instead of tie by tie this cell took 43-51 s
+    grid = tg.build(*conftest.grid_data(8, 8))
+    assert orc.dim_spline_oracle(grid, 12, 3, allow_large=True) == \
+        dm.dim(grid, 12, 3).total == 4140
+
+
 # ------------------------------------------- spline oracle against the referee
 
 _FIG2, _TOH = tg.load_bundled("figure2"), tg.load_bundled("tohaneanu")
@@ -142,11 +150,13 @@ def referee_meshes(draw):
     return tg.build(*data)
 
 
+_R_AND_D = st.integers(0, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers(0, 2 * r + 4)))
+
+
 # The loaded profile's count when it is larger (--hypothesis-profile=ci: 1000).
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(referee_meshes(), st.integers(0, 3).flatmap(
-    lambda r: st.tuples(st.just(r), st.integers(0, 2 * r + 4))))
+@given(referee_meshes(), _R_AND_D)
 # r = 0; polynomials only (d <= r); chords, whose cofactors are free; two and five ties;
 # a tie cycle in special position, and its rational image
 @example(tg.build(*conftest.grid_data(2, 2)), (0, 4))
@@ -161,6 +171,27 @@ def referee_meshes(draw):
 def test_spline_oracle_matches_referee(tri, rd):
     r, d = rd
     assert orc.dim_spline_oracle(tri, d, r, allow_large=True) == referee_dim_spline(tri, d, r)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(referee_meshes(), _R_AND_D)
+# a vertex on one horizontal and one vertical line: the degree-3 monomials
+# X Y^2 and X^2 Y have no term at r = 2
+@example(conftest.cross_cut_square(), (2, 3))
+def test_conformality_rows_contract(tri, rd):
+    # no zero entry and no empty row (the tracer counts entries as nnz), columns
+    # in range, one cofactor per interior edge that is not a chord, and at most
+    # one row per (interior vertex, degree m, monomial)
+    r, d = rd
+    rows, ncols = orc._conformality_rows(tri, d, r)
+    if d <= r:
+        assert (rows, ncols) == ([], 0)
+    assert all(row and all(row.values()) for row in rows)
+    assert all(0 <= c < ncols for row in rows for c in row)
+    cofactors = sum(tri.vertex_kind[e.u] == "interior" or tri.vertex_kind[e.v] == "interior"
+                    for e in tri.interior_edges())
+    assert ncols == cofactors * binom(d - r + 1, 2)
+    assert len(rows) <= len(tri.interior_vertices) * sum(m + 1 for m in range(r + 1, d + 1))
 
 
 _MIDX2 = orc._monomials_exact(2, 2)
