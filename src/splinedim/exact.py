@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def check_ints(names: str, *values: object, low: int | None = None) -> None:

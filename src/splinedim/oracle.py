@@ -101,27 +101,25 @@ def _int_linear_form(coeffs: Sequence) -> tuple[int, ...]:
     return tuple(w // g for w in ints)
 
 
-def _power(form: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
-    """The n-th power of a linear form by the multinomial theorem.
-
-    Keys are exponent tuples of total degree n, values their integer
-    coefficients; monomials with a zero coefficient are left out.
-    """
-    out = {}
-    for expo in _monomials_exact(len(form), n):
-        coef, rest = 1, n
-        for w, e in zip(form, expo):
-            coef *= comb(rest, e) * w ** e
-            rest -= e
-        if coef:
-            out[expo] = coef
-    return out
-
-
 def _binomial(n: int, p: int, q: int) -> list[tuple[int, int]]:
     """(j, c) for each nonzero term c X^j of (p X + q)^n, which is also the
     term c X^j Y^(n-j) of the form (p X + q Y)^n."""
     return [(j, c) for j in range(n + 1) if (c := comb(n, j) * p ** j * q ** (n - j))]
+
+
+def _power(form: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
+    """The n-th power of a linear form, expanded one variable at a time.
+
+    Keys are exponent tuples of total degree n in descending lex order, values
+    their integer coefficients; monomials with a zero coefficient are left out.
+    """
+    head, *rest = form
+    if not rest:
+        c = head ** n
+        return {(n,): c} if c else {}
+    # (head X + rest)^n holds comb(n, j) head^j X^j times rest^(n - j)
+    return {(j, *expo): c * cr for j, c in reversed(_binomial(n, head, 1))
+            for expo, cr in _power(rest, n - j).items()}
 
 
 def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict[int, int]], int]:
@@ -336,5 +334,4 @@ def homology_dim_oracle(s: int, t: int, r: int, b: Sequence, c: Sequence, d: int
     gens1 = [((1, 0, bi), r + 1) for bi in bs]
     gens2 = [((0, 1, ci), r + 1) for ci in cs]
     dim1, dim2, dim_both = colon_pair_dims(gens1, gens2, (0, 0, 1), r + 1, ell)
-    n_ell = len(_monomials_exact(3, ell))
-    return n_ell - (dim1 + dim2 - dim_both)
+    return binom(ell + 2, 2) - (dim1 + dim2 - dim_both)

@@ -484,7 +484,9 @@ def parse_mesh(text: str) -> Triangulation:
 
     try:
         data = json.loads(text, parse_float=_no_floats, parse_constant=_no_floats)
-    except json.JSONDecodeError as exc:
+    except MeshFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits or too deep
         raise MeshFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MeshFormatError("top level must be an object")

@@ -1,0 +1,140 @@
+"""Mutation checks that anyone can re-run: each mutant must make its tests fail.
+
+    python tests/mutants.py
+
+Each entry names a module under src/splinedim, a piece of text that occurs
+in it exactly once, its replacement, and the pytest node ids that must fail
+once the replacement is made.  The node ids are first run against an
+unmutated copy of src/ and must pass there.  Then, for each entry, src/ is
+copied to a temporary directory, the one replacement is made, and the node
+ids run with PYTHONPATH pointing at the copy and a fixed hypothesis seed;
+the entry fails unless pytest reports a failed test.  Each run starts in
+an empty working directory, so no hypothesis example database carries over.
+
+Stdlib only; pytest does not collect this file.  Exit status 0 when every
+mutant is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = "12345"
+
+# (name, module, old text, new text, node ids that must fail)
+MUTANTS = [
+    ("pivot-rows-yields-non-pivot", "exact.py",
+     "        yield prow\n", "        yield bucket[-1]\n",
+     ["tests/test_exact.py::test_pivot_rows_are_an_echelon_basis"]),
+    # the quasi-cross-cut walk
+    ("walk-always-true", "triangulation.py",
+     "        if not reached:\n            return False\n",
+     "        if not reached:\n            pass\n",
+     ["tests/test_mesh_validation.py::test_quasi_cross_cut_walk_matches_union_find"]),
+    ("walk-any-slope", "triangulation.py",
+     "if e.slope == tie.slope and j not in seen:", "if j not in seen:",
+     ["tests/test_mesh_validation.py::test_quasi_cross_cut_walk_matches_union_find"]),
+    ("walk-no-step", "triangulation.py",
+     "stack.append(e.u + e.v - v)", "stack.append(v)",
+     ["tests/test_mesh_validation.py::test_quasi_cross_cut_walk_matches_union_find"]),
+    ("walk-skips-ties", "triangulation.py",
+     "if e.slope == tie.slope and j not in seen:",
+     "if e.slope == tie.slope and j not in seen and not e.totally_interior:",
+     ["tests/test_mesh_validation.py::test_quasi_cross_cut_walk_matches_union_find"]),
+    ("trivial-at-r-plus-2-slopes", "dimension.py",
+     "if params.t + 1 >= r + 3:", "if params.t + 1 >= r + 2:",
+     ["tests/test_mesh_validation.py::test_dim_auto_matches_spline_oracle_on_generated_meshes"]),
+    ("lower-bound-drops-a-vertex", "dimension.py",
+     "for v in tri.interior_vertices], d, r)", "for v in tri.interior_vertices[1:]], d, r)",
+     ["tests/test_mesh_validation.py::test_dim_auto_matches_spline_oracle_on_generated_meshes"]),
+    ("homology-level-r-plus-2", "power_ideal.py",
+     "level = d - (r + 1)", "level = d - (r + 2)",
+     ["tests/test_dimension.py::test_dim_at_least_both_bounds"]),
+    ("homology-interval-plus-2", "power_ideal.py",
+     "- max(0, level - cc - rem2 // t) + 1)", "- max(0, level - cc - rem2 // t) + 2)",
+     ["tests/test_dimension.py::test_dim_rises_under_boundary_refinement"]),
+    ("primitive-sign-unnormalised", "triangulation.py",
+     "    if dx < 0 or (dx == 0 and dy < 0):\n        dx, dy = -dx, -dy\n", "",
+     ["tests/test_dimension.py::test_dim_invariant_under_relabelling_and_affine_maps"]),
+    # the conformality rows of the spline oracle
+    ("sigma-always-plus-1", "oracle.py",
+     "sign = -1 if (v, e.u + e.v - v) in ((t0, t1), (t1, t2), (t2, t0)) else 1", "sign = 1",
+     ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
+    ("tie-home-unscaled", "oracle.py",
+     "base[i, k], den ** k", "base[i, k], 1",
+     ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
+    # the middle branch of the closed form, past the golden tables' r <= 12
+    ("f-explicit-start-plus-1", "dimension.py",
+     "for i in range(start, d - r):", "for i in range(start + 1, d - r):",
+     ["tests/test_dimension.py::test_f_explicit_matches_lattice_count_to_r_500"]),
+    ("f-explicit-summand-plus-2", "dimension.py",
+     "total += upper - lower + 1", "total += upper - lower + 2",
+     ["tests/test_dimension.py::test_f_explicit_matches_lattice_count_to_r_500"]),
+    ("f-explicit-upper-r-plus-1", "dimension.py",
+     "+ r * s) // s", "+ (r + 1) * s) // s",
+     ["tests/test_dimension.py::test_f_explicit_matches_lattice_count_to_r_500"]),
+    # powers of linear forms in the ideal oracles
+    ("power-binomial-swapped", "oracle.py",
+     "_binomial(n, head, 1)", "_binomial(n, 1, head)",
+     ["tests/test_oracle.py::test_power_expands_form"]),
+    ("power-base-case", "oracle.py",
+     "c = head ** n\n", "c = head\n",
+     ["tests/test_oracle.py::test_power_expands_form"]),
+]
+
+
+def _copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _pytest(src: Path, node_ids: list[str], workdir: Path) -> tuple[int, str]:
+    """pytest's exit status and last output line on the node ids, importing splinedim from src."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           f"--hypothesis-seed={SEED}", f"--rootdir={ROOT}", *(str(ROOT / n) for n in node_ids)]
+    done = subprocess.run(cmd, cwd=workdir, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    return done.returncode, (done.stdout.strip().splitlines() or [""])[-1]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        node_ids = sorted({n for *_, ids in MUTANTS for n in ids})
+        code, summary = _pytest(_copy_src(tmp / "clean"), node_ids, tmp / "clean")
+        if code != 0:
+            print(f"unmutated: FAIL ({summary})")
+            return 1
+        print(f"unmutated: pass ({summary})")
+        survivors = []
+        for name, module, old, new, ids in MUTANTS:
+            src = _copy_src(tmp / name)
+            path = src / "splinedim" / module
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"{name}: old text occurs {text.count(old)} times in {module}, not once")
+                survivors.append(name)
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            # only a failing test kills: an import or collection error does not
+            code, summary = _pytest(src, ids, tmp / name)
+            killed = code == 1 and " failed" in summary
+            print(f"{name}: {'killed' if killed else 'SURVIVED'} ({summary})")
+            if not killed:
+                survivors.append(name)
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants not killed: {survivors}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

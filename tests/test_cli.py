@@ -1,5 +1,6 @@
 """End-to-end checks of the command line surface, run in process."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splinedim import cli, dimension, oracle
 from splinedim import triangulation as tg
@@ -325,6 +327,8 @@ def test_every_build_error_exits_1(tmp_path, capsys, name):
     {"vertices": [[0, 0], [1, 0, 2], [0, 1]], "triangles": [[0, 1, 2]]},
     {"vertices": [[0, 0], [1, 0], [0, "1/0"]], "triangles": [[0, 1, 2]]},
     [[0, 0], [1, 0], [0, 1]],
+    # Arabic-Indic digits: the format is ASCII integers and "num/den" strings
+    {"vertices": [[0, 0], [1, 0], [0, "\u0663/\u0664"]], "triangles": [[0, 1, 2]]},
 ])
 def test_mesh_format_error_exits_2(tmp_path, capsys, data):
     text = json.dumps(data)
@@ -335,6 +339,31 @@ def test_mesh_format_error_exits_2(tmp_path, capsys, data):
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def _long_integer_mesh():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no limit on the digits of an integer literal")
+    return '{"vertices": [[0, 0], [1, 0], [0, ' + "1" * (limit + 1) + ']], "triangles": [[0, 1, 2]]}'
+
+
+def _deeply_nested_mesh():
+    return '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + ', "triangles": []}'
+
+
+@pytest.mark.parametrize("make", [_long_integer_mesh, _deeply_nested_mesh],
+                         ids=["integer-past-digit-limit", "arrays-nested-100000-deep"])
+def test_json_decode_failures_exit_2(tmp_path, capsys, make):
+    # json.loads raises ValueError and RecursionError here, not JSONDecodeError
+    text = make()
+    with pytest.raises(tg.MeshFormatError, match="^invalid JSON: "):
+        tg.parse_mesh(text)
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_parser_built_once_and_still_rejects_bad_arguments(capsys):
@@ -358,3 +387,60 @@ def test_unknown_method_is_usage_error(capsys):
         cli.main(["dim", "figure2", "--r", "1", "--d", "2", "--method", "guess"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------- contract property
+
+_MESHES = [name.removesuffix(".mesh") for name in tg.bundled_mesh_names()]
+_ARG = st.integers(-3, 60).map(str)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand on a bundled mesh, integer arguments in -3..60, every method,
+    format and --verify; never --allow-large, so the guardrail bounds the cost."""
+    command = draw(st.sampled_from(["validate", "dim", "table", "regularity"]))
+    argv = [command, draw(st.sampled_from(_MESHES))]
+    if command == "validate":
+        return argv
+    argv += ["--r", draw(_ARG)]
+    if command == "regularity":
+        return argv
+    argv += ["--d" if command == "dim" else "--dmax", draw(_ARG),
+             "--method", draw(st.sampled_from(dimension.METHODS))]
+    if command == "table":
+        argv += ["--format", draw(st.sampled_from(["csv", "tsv", "pretty"]))]
+        argv += ["--verify"] if draw(st.booleans()) else []
+    return argv
+
+
+def _table_rows(out, fmt):
+    lines = out.splitlines()
+    if fmt == "csv":
+        return list(csv.reader(lines))
+    return [line.split("\t" if fmt == "tsv" else None) for line in lines]
+
+
+@settings(deadline=None)
+@given(cli_argvs())
+def test_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    # a refusal prints nothing but its one error line
+    assert (out == "") == (code in (1, 2))
+    if code in (1, 2):
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+    if argv[0] == "table" and code == 0:
+        opts = dict(zip(argv[2::2], argv[3::2]))
+        r, dmax, method = int(opts["--r"]), int(opts["--dmax"]), opts["--method"]
+        header, *rows = _table_rows(out, opts["--format"])
+        assert header[:6] == ["r", "d", "L", "H1", "dim", "method"]
+        assert [row[1] for row in rows] == [str(d) for d in range(dmax + 1)]
+        tri = tg.load_bundled(argv[1])
+        for d, row in enumerate(rows):
+            assert int(row[4]) == dimension.dim(tri, d, r, method=method).total

@@ -5,13 +5,15 @@ mesh-level ones are cross-checked against the rank oracle in test_oracle.py
 and the acceptance suite.
 """
 
+import math
+
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from splinedim import dimension as dm
 from splinedim import triangulation as tg
 from splinedim.exact import binom
-from splinedim.power_ideal import TiePair, homology_dim, homology_regularity
+from splinedim.power_ideal import TiePair, degree_thresholds, homology_dim, homology_regularity
 
 import conftest
 from conftest import affine_images, mesh_data
@@ -151,6 +153,17 @@ def test_f_explicit_matches_lattice_count(r, data):
     for d in range(r + 1, 3 * r + 4):
         if low < d <= high:
             assert dm.f_explicit(s, t, d, r) == homology_dim(tp, d)
+
+
+@given(st.integers(2, 6), st.data())
+def test_f_explicit_matches_lattice_count_to_r_500(s, data):
+    # the property above and the acceptance tables stop at r = 12
+    t = data.draw(st.integers(max(s, 3), 8))
+    r = data.draw(st.integers(t - 1, 500))
+    low, high = degree_thresholds(s, t, r)
+    assume(math.floor(low) < math.floor(high))
+    d = data.draw(st.integers(math.floor(low) + 1, math.floor(high)))
+    assert dm.f_explicit(s, t, d, r) == homology_dim(TiePair(s, t, r), d)
 
 
 def test_dim_explicit_figure2_r8():

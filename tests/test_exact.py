@@ -76,7 +76,9 @@ def test_parse_rational_forms():
     assert parse_rational(Fraction(2, 5)) == Fraction(2, 5)
 
 
-@pytest.mark.parametrize("bad", [1.5, "3.5", "1/0", "a/b", "", "1/-2", True, None])
+# non-ASCII decimal digits, which int() would read: Arabic-Indic, fullwidth, mathematical
+@pytest.mark.parametrize("bad", [1.5, "3.5", "1/0", "a/b", "", "1/-2", True, None,
+                                 "\u0663/\u0664", "\uff13", "\U0001d7d9"])
 def test_parse_rational_rejects(bad):
     with pytest.raises((ValueError, TypeError)):
         parse_rational(bad)
