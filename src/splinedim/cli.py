@@ -35,7 +35,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ni = len(tri.interior_vertices)
     eb = len(tri.boundary_edges())
     ei = len(tri.interior_edges())
-    ties = len(tri.totally_interior_edges())
+    ties = len(tri.ties)
     print(f"vertices: {len(tri.vertices)} (boundary {nb}, interior {ni})")
     print(f"triangles: {len(tri.triangles)}")
     print(f"edges: {len(tri.edges)} (boundary {eb}, interior {ei})")

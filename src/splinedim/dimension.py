@@ -116,10 +116,9 @@ def classify(tri: tg.Triangulation, r: int) -> tuple[str, str, tg.OneTieParams |
     check_ints("r", r, low=0)
     if tg.is_quasi_cross_cut(tri):
         return "quasi-cross-cut", "quasi-cross-cut mesh", None
-    ties = tri.totally_interior_edges()
-    if len(ties) != 1:
+    if len(tri.ties) != 1:
         raise UnsupportedTopology(
-            f"{len(ties)} totally interior edges and not quasi-cross-cut")
+            f"{len(tri.ties)} totally interior edges and not quasi-cross-cut")
     params = tg.extract_one_tie_params(tri)
     reason = _trivial_reason(params, r)
     if reason is not None:

@@ -13,9 +13,10 @@ l_tau^(r+1) q_tau, where l_tau vanishes on the edge and the cofactor q_tau
 has degree at most d - r - 1.  Conversely p and the cofactors define a
 spline exactly when, at each interior vertex v, the cofactors of the edges
 at v satisfy the conformality condition sum sigma_tau l_tau^(r+1) q_tau = 0.
-So the dimension is binom(d + 2, 2), plus binom(d - r + 1, 2) for each chord
-(an interior edge with both endpoints on the boundary, whose cofactor is in
-no condition), plus the kernel dimension of the conditions.
+So the dimension is binom(d + 2, 2), for p, plus the nullity of the
+conditions in the cofactors of all interior edges.  A chord, an interior
+edge with both endpoints on the boundary, is in no condition, so its
+columns are free: each adds binom(d - r + 1, 2) to the nullity.
 
 The theorem needs the triangles to be edge-connected, every interior vertex
 to be ringed by one cycle of triangles, and the loops around the interior
@@ -44,19 +45,20 @@ v = u + w it reads q(X + w_x, Y + w_y), whose degree-k part involves only
 coefficients of degree at least k: the translation is block-triangular by
 degree.  The tie's degree-k columns are scaled by D^k, D the common
 denominator of w, so that every entry is an integer.  Columns run over the
-spokes grouped by (home, degree), then over the ties by (tie, degree), so
-the ascending sweep of pivot_rows eliminates each (vertex, degree) block on
-its own and only the tie columns couple blocks.  Each row has a fixed slot,
-by vertex, degree and monomial.  At a cofactor's home each term of
-l_tau^(r+1) is one store into a slot; only at a tie's far end can terms add
-up (and cancel), and there the powers of D X + w_x and D Y + w_y (w_x and
-w_y now scaled by D) are expanded once per tie and exponent.
+spokes grouped by (home, degree), then over the ties by (tie, degree), then
+over the chords, so the ascending sweep of pivot_rows eliminates each
+(vertex, degree) block on its own and only the tie columns couple blocks.
+Each row has a fixed slot, by vertex, degree and monomial.  At a cofactor's
+home each term of l_tau^(r+1) is one store into a slot; only at a tie's far
+end can terms add up (and cancel), and there the powers of D X + w_x and
+D Y + w_y (w_x and w_y now scaled by D) are expanded once per tie and
+exponent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -125,31 +127,28 @@ def _power(form: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
 def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict[int, int]], int]:
     """Integer rows of the conformality conditions, and their column count.
 
-    The columns are the coefficients of each cofactor at monomials of degree
-    k <= d - r - 1 centred at its home: spokes first, grouped by (home,
-    degree), then ties by (tie, degree).  There is one row per interior
-    vertex v, degree m and monomial X^a Y^(m-a) centred at v, unless it has
-    no entry; no entry is zero.
+    The columns are the coefficients of each interior edge's cofactor at
+    monomials of degree k <= d - r - 1 centred at its home, in this order:
+    spokes grouped by (home, degree); then ties one at a time in index
+    order, each by degree; then chords, whose columns no row touches.  There
+    is one row per interior vertex v, degree m and monomial X^a Y^(m-a)
+    centred at v, unless it has no entry; no entry is zero.
     """
     n = d - r - 1
     if n < 0:
         return [], 0
     edges, verts = tri.edges, tri.vertices
-    ties = [i for i, e in enumerate(edges) if e.totally_interior]
-    spokes = [(i, k) for v in tri.interior_vertices for k in range(n + 1)
-              for i in tri.edges_at[v] if not edges[i].totally_interior]
-    base: dict[tuple[int, int], int] = {}
-    ncols = 0
-    for key in spokes + [(i, k) for i in ties for k in range(n + 1)]:
-        base[key] = ncols
-        ncols += key[1] + 1
     # a tie's columns are scaled by den^k so that its translation from home u
     # to v is the integer vector (wx, wy) over den
     shift = {}
-    for i in ties:
+    for i in tri.ties:
         w = [q - p for p, q in zip(verts[edges[i].u], verts[edges[i].v])]
         den = lcm(*(c.denominator for c in w))
         shift[i] = (den, *(c.numerator * (den // c.denominator) for c in w))
+    keys = [(i, k) for v in tri.interior_vertices for k in range(n + 1)
+            for i in tri.edges_at[v] if i not in shift]
+    keys += [(i, k) for i in tri.ties for k in range(n + 1)]
+    base = dict(zip(keys, accumulate((k + 1 for _, k in keys), initial=0)))
     forms = {s: _binomial(r + 1, s.dy, -s.dx) for s in {e.slope for e in edges}}
 
     # row (v, m, a) is slot vbase + off[m - r - 1] + a, where vbase is block
@@ -166,7 +165,7 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
             sign = -1 if (v, e.u + e.v - v) in ((t0, t1), (t1, t2), (t2, t0)) else 1
             den, wx, wy = shift.get(i, (1, 0, 0))
             power = [(j, sign * c) for j, c in forms[e.slope]]
-            if v != e.v or not e.totally_interior:
+            if v != e.v or i not in shift:
                 # at home, column (k, x) reads den^k X^x Y^(k-x): one term in each
                 # row x + j; j descending fills each row in ascending column order
                 for k in range(n + 1):
@@ -192,25 +191,26 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
                     for slot, c in acc.items():
                         if c:
                             rows[slot][col] = c
-    return [row for row in rows if row], ncols
+    # every interior edge has binom(n + 2, 2) columns, the chords' last
+    return [row for row in rows if row], len(tri.interior_edges()) * comb(n + 2, 2)
 
 
 def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool = False) -> int:
     """Dimension of the splines of degree d and smoothness r on tri.
 
-    That is the polynomials, the chords' free cofactors and the kernel of
-    the conformality conditions, as the module docstring explains.  The
-    guardrail counts the unknowns of a direct assembly instead: a polynomial
-    per triangle and a multiplier per interior edge.
+    That is binom(d + 2, 2), for the polynomials, plus the nullity of the
+    conformality conditions, as the module docstring explains.  Their
+    columns hold every interior edge's cofactor: spokes by (home, degree),
+    then ties one at a time in index order, then chords, which are in no
+    condition.  The guardrail counts the unknowns of a direct assembly
+    instead: a polynomial per triangle and a multiplier per interior edge.
     """
     check_ints("d and r", d, r, low=0)
-    interior = tri.interior_edges()
-    n_cof = binom(d - r + 1, 2)
-    unknowns = len(tri.triangles) * binom(d + 2, 2) + len(interior) * n_cof
+    unknowns = (len(tri.triangles) * binom(d + 2, 2)
+                + len(tri.interior_edges()) * binom(d - r + 1, 2))
     if unknowns > MAX_COLUMNS and not allow_large:
         raise TooLarge(f"{unknowns} unknowns exceeds the {MAX_COLUMNS} column guardrail")
-    chords = sum(tri.vertex_kind[e.u] == tri.vertex_kind[e.v] == "boundary" for e in interior)
-    return binom(d + 2, 2) + chords * n_cof + kernel_dim_sparse(*_conformality_rows(tri, d, r))
+    return binom(d + 2, 2) + kernel_dim_sparse(*_conformality_rows(tri, d, r))
 
 
 def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,

@@ -114,7 +114,6 @@ class Edge:
     v: int
     slope: Slope
     triangles: tuple[int, ...]
-    totally_interior: bool
 
     @property
     def kind(self) -> str:
@@ -159,6 +158,7 @@ class Triangulation:
     edges: tuple[Edge, ...]
     vertex_kind: tuple[str, ...]
     edges_at: tuple[tuple[int, ...], ...]
+    ties: tuple[int, ...]  # ascending indices of the edges with both endpoints interior
 
     @property
     def interior_vertices(self) -> tuple[int, ...]:
@@ -173,9 +173,6 @@ class Triangulation:
 
     def boundary_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.kind == "boundary")
-
-    def totally_interior_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.totally_interior)
 
 
 def _check_simple_boundary(lat: list[tuple[int, int]], keys: list[tuple[int, int]]) -> None:
@@ -380,9 +377,9 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     edges = []
     for (u, v) in sorted(edge_map):
         incid = sorted(t for t, _ in edge_map[(u, v)])
-        tot = kinds[u] == "interior" and kinds[v] == "interior"
         slope = _primitive(lat[v][0] - lat[u][0], lat[v][1] - lat[u][1])
-        edges.append(Edge(u, v, slope, tuple(incid), tot))
+        edges.append(Edge(u, v, slope, tuple(incid)))
+    ties = tuple(i for i, e in enumerate(edges) if kinds[e.u] == kinds[e.v] == "interior")
 
     edges_at: list[list[int]] = [[] for _ in pts]
     for idx, e in enumerate(edges):
@@ -395,6 +392,7 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
         edges=tuple(edges),
         vertex_kind=kinds,
         edges_at=tuple(tuple(lst) for lst in edges_at),
+        ties=ties,
     )
 
 
@@ -417,10 +415,11 @@ def is_quasi_cross_cut(tri: Triangulation) -> bool:
     interior vertex it reaches, so no later walk can step onto its edges.
     """
     seen: set[int] = set()
-    for i, tie in enumerate(tri.edges):
-        if not tie.totally_interior or i in seen:
+    for i in tri.ties:
+        if i in seen:
             continue
         seen.add(i)
+        tie = tri.edges[i]
         stack, reached = [tie.u, tie.v], False
         while stack:
             v = stack.pop()
@@ -439,13 +438,13 @@ def is_quasi_cross_cut(tri: Triangulation) -> bool:
 
 def extract_one_tie_params(tri: Triangulation) -> OneTieParams:
     """Read off the local parameters of the unique totally interior edge."""
-    ties = [(i, e) for i, e in enumerate(tri.edges) if e.totally_interior]
-    if not ties:
+    if not tri.ties:
         raise NoTotallyInteriorEdge("mesh has no totally interior edge")
-    if len(ties) > 1:
-        keys = [e.key for _, e in ties]
-        raise MultipleTotallyInteriorEdges(f"mesh has {len(ties)} totally interior edges: {keys}")
-    tie_idx, tie = ties[0]
+    if len(tri.ties) > 1:
+        keys = [tri.edges[i].key for i in tri.ties]
+        raise MultipleTotallyInteriorEdges(f"mesh has {len(keys)} totally interior edges: {keys}")
+    (tie_idx,) = tri.ties
+    tie = tri.edges[tie_idx]
 
     def star(v: int) -> tuple[int, int, bool]:
         others = [tri.edges[i] for i in tri.edges_at[v] if i != tie_idx]

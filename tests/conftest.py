@@ -196,7 +196,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # replay the acceptance verdict lines where fd capture cannot eat them
     try:
         from test_acceptance import RESULTS
-    except ImportError:
+    except Exception:  # a package that fails to import is already a collection error
         return
     if RESULTS:
         terminalreporter.section("acceptance criteria")

@@ -45,8 +45,12 @@ MUTANTS = [
      ["tests/test_mesh_validation.py::test_quasi_cross_cut_walk_matches_union_find"]),
     ("walk-skips-ties", "triangulation.py",
      "if e.slope == tie.slope and j not in seen:",
-     "if e.slope == tie.slope and j not in seen and not e.totally_interior:",
+     "if e.slope == tie.slope and j not in seen and j not in tri.ties:",
      ["tests/test_mesh_validation.py::test_quasi_cross_cut_walk_matches_union_find"]),
+    # the tie list build records
+    ("tie-rule-one-interior-endpoint", "triangulation.py",
+     'kinds[e.u] == kinds[e.v] == "interior")', '"interior" in (kinds[e.u], kinds[e.v]))',
+     ["tests/test_triangulation.py::test_figure2_census"]),
     ("trivial-at-r-plus-2-slopes", "dimension.py",
      "if params.t + 1 >= r + 3:", "if params.t + 1 >= r + 2:",
      ["tests/test_mesh_validation.py::test_dim_auto_matches_spline_oracle_on_generated_meshes"]),
@@ -68,6 +72,9 @@ MUTANTS = [
      ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
     ("tie-home-unscaled", "oracle.py",
      "base[i, k], den ** k", "base[i, k], 1",
+     ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
+    ("chord-columns-dropped", "oracle.py",
+     "len(tri.interior_edges()) * comb(n + 2, 2)", "sum(k + 1 for _, k in keys)",
      ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
     # the middle branch of the closed form, past the golden tables' r <= 12
     ("f-explicit-start-plus-1", "dimension.py",

@@ -8,8 +8,13 @@ are runtime budgets.
 
 import functools
 import itertools
+import os
+import shutil
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from splinedim import dimension as dm
 from splinedim import oracle as orc
@@ -276,3 +281,21 @@ def test_criterion_8_lower_bound_gap():
             gap = (dm.schumaker_lower_bound_prime(4, 4, 2, 2, d, r)
                    - dm.schumaker_lower_bound_params(4, 4, 2, 2, d, r))
             assert gap == k, (k, d, r)
+
+
+def test_broken_src_is_a_collection_error(tmp_path):
+    # the conftest hook that replays RESULTS imports this module, and so the
+    # package; a syntax error there must leave pytest's exit status 2 (a
+    # collection error) rather than raise again from the hook
+    root = Path(__file__).resolve().parent.parent
+    src = tmp_path / "src"
+    shutil.copytree(root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    module = src / "splinedim" / "oracle.py"
+    module.write_text(module.read_text(encoding="utf-8") + "\nc = = 1\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"--rootdir={root}", str(root / "tests" / "test_oracle.py")],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    out = done.stdout + done.stderr
+    assert done.returncode == 2, out
+    assert "pytest_terminal_summary" not in out

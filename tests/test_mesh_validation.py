@@ -11,7 +11,9 @@ affine images of the bundled one-tie meshes, dim(auto) must equal the
 spline oracle.
 """
 
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
@@ -139,7 +141,7 @@ def test_valid_meshes_accepted_by_both(mesh):
 @given(one_tie_stars())
 def test_one_tie_stars_have_one_tie(mesh):
     tri = tg.build(*mesh)
-    (tie,) = tri.totally_interior_edges()
+    (tie,) = (tri.edges[i] for i in tri.ties)
     assert tie.key == (0, 1)
     assert tri.interior_vertices == (0, 1)
 
@@ -231,6 +233,14 @@ def plain_grids(draw):
     return conftest.grid_data(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
 
 
+def _raw_ties(tris):
+    """The edges on two triangles with neither endpoint on an edge of one
+    triangle, read from the triangles' vertex indices alone."""
+    count = Counter(tuple(sorted(pair)) for t in tris for pair in combinations(t, 2))
+    outer = {v for e, n in count.items() if n == 1 for v in e}
+    return sorted(e for e, n in count.items() if n == 2 and not outer.intersection(e))
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(valid_meshes, glued_ears(), plain_grids(), affine_images(plain_grids())),
        st.integers(0, 8))
@@ -243,10 +253,11 @@ def test_quasi_cross_cut_walk_matches_union_find(mesh, r):
         tri = tg.build(*mesh)
     except tg.MeshError:
         reject()
+    assert [tri.edges[i].key for i in tri.ties] == _raw_ties(mesh[1])
     qcc = referee_quasi_cross_cut(tri)
     assert tg.is_quasi_cross_cut(tri) == qcc
     # classify refuses exactly the meshes that are neither quasi-cross-cut nor one-tie
-    unsupported = not qcc and len(tri.totally_interior_edges()) != 1
+    unsupported = not qcc and len(tri.ties) != 1
     try:
         dm.classify(tri, r)
     except dm.UnsupportedTopology:
@@ -301,7 +312,7 @@ def test_dim_auto_matches_spline_oracle_on_generated_meshes(mesh, rd):
 def test_mirrored_one_tie_mesh_doubles_the_correction(base, a, b):
     # ROADMAP item 2's hypothesis on two vertex-disjoint ties: each adds its own correction
     tri = conftest.reflect_across(base, a, b)
-    first, second = (set(e.key) for e in tri.totally_interior_edges())
+    first, second = (set(tri.edges[i].key) for i in tri.ties)
     assert not first & second and not tg.is_quasi_cross_cut(tri)
     with pytest.raises(dm.UnsupportedTopology):
         dm.dim(tri, 4, 2)

@@ -180,17 +180,15 @@ def test_spline_oracle_matches_referee(tri, rd):
 @example(conftest.cross_cut_square(), (2, 3))
 def test_conformality_rows_contract(tri, rd):
     # no zero entry and no empty row (the tracer counts entries as nnz), columns
-    # in range, one cofactor per interior edge that is not a chord, and at most
-    # one row per (interior vertex, degree m, monomial)
+    # in range, one cofactor per interior edge, and at most one row per
+    # (interior vertex, degree m, monomial)
     r, d = rd
     rows, ncols = orc._conformality_rows(tri, d, r)
     if d <= r:
         assert (rows, ncols) == ([], 0)
     assert all(row and all(row.values()) for row in rows)
     assert all(0 <= c < ncols for row in rows for c in row)
-    cofactors = sum(tri.vertex_kind[e.u] == "interior" or tri.vertex_kind[e.v] == "interior"
-                    for e in tri.interior_edges())
-    assert ncols == cofactors * binom(d - r + 1, 2)
+    assert ncols == len(tri.interior_edges()) * binom(d - r + 1, 2)
     assert len(rows) <= len(tri.interior_vertices) * sum(m + 1 for m in range(r + 1, d + 1))
 
 

@@ -25,7 +25,7 @@ def test_figure2_census(fig2):
     assert len(fig2.interior_edges()) == 12
     assert len(fig2.boundary_vertices) == 9
     assert fig2.interior_vertices == (0, 1)
-    assert len(fig2.totally_interior_edges()) == 1
+    assert len(fig2.ties) == 1
 
 
 def test_tohaneanu_census(toh):
@@ -34,7 +34,7 @@ def test_tohaneanu_census(toh):
     assert len(toh.edges) == 15
     assert len(toh.boundary_edges()) == 6
     assert len(toh.interior_edges()) == 9
-    assert len(toh.totally_interior_edges()) == 1
+    assert len(toh.ties) == 1
 
 
 def test_euler_formula_on_examples(fig2, toh):
@@ -44,9 +44,9 @@ def test_euler_formula_on_examples(fig2, toh):
 
 
 def test_edge_classification(fig2):
-    tie = fig2.totally_interior_edges()[0]
+    tie = fig2.edges[fig2.ties[0]]
     assert tie.kind == "interior"
-    assert tie.totally_interior
+    assert fig2.vertex_kind[tie.u] == fig2.vertex_kind[tie.v] == "interior"
     assert tie.key == (0, 1)
     some_boundary = fig2.boundary_edges()[0]
     assert some_boundary.kind == "boundary"
@@ -94,7 +94,7 @@ def test_quasi_cross_cut_after_removing_tie(fig2, toh):
     # which is what makes the companion lower bound exact: every other
     # interior edge already reaches the boundary
     for tri in (fig2, toh):
-        (tie,) = tri.totally_interior_edges()
+        (tie,) = (tri.edges[i] for i in tri.ties)
         for e in tri.interior_edges():
             if e != tie:
                 assert "boundary" in (tri.vertex_kind[e.u], tri.vertex_kind[e.v])
