@@ -40,19 +40,45 @@ build() makes every triangle counterclockwise, sigma is a test on indices.
 
 A spoke, an edge with one interior endpoint, is in one condition and is
 expanded at that endpoint, its home.  A tie, a totally interior edge, is in
-the conditions at both endpoints; it is expanded at u, its home, and at
-v = u + w it reads q(X + w_x, Y + w_y), whose degree-k part involves only
-coefficients of degree at least k: the translation is block-triangular by
-degree.  The tie's degree-k columns are scaled by D^k, D the common
-denominator of w, so that every entry is an integer.  Columns run over the
-spokes grouped by (home, degree), then over the ties by (tie, degree), then
-over the chords, so the ascending sweep of pivot_rows eliminates each
-(vertex, degree) block on its own and only the tie columns couple blocks.
-Each row has a fixed slot, by vertex, degree and monomial.  At a cofactor's
-home each term of l_tau^(r+1) is one store into a slot; only at a tie's far
-end can terms add up (and cancel), and there the powers of D X + w_x and
-D Y + w_y (w_x and w_y now scaled by D) are expanded once per tie and
-exponent.
+the conditions at both endpoints and is expanded at one of them, u, its home.
+
+The degree-m part is an identity between forms of degree m, so its rows may
+be read in any basis of those forms, and each cofactor's degree-k part in
+any basis of the forms of degree k: both changes are invertible and keep the
+nullity.  So each interior vertex with a spoke and at most one tie reads both
+in the monomials of a frame (X', Y') = (l_s, l_t).  l_s is the form of its
+first spoke whose slope is not the tie's; l_t is the tie's form, or at a
+vertex with no tie that of a spoke with another slope.  A vertex with two or
+more ties, or with no spoke, keeps (X, Y).  Every form is mapped into the
+frame and made primitive; a spoke's scale is free, its cofactor absorbs it.
+A spoke whose form is one frame variable, as l_s's own is, has a one-term
+l^(r+1) = X'^(r+1) (or Y'^(r+1)), so each of its columns has exactly one
+entry.  Those spokes come first in their (home, degree) group.  Their
+columns lead the rows they meet, and the sweep of pivot_rows takes each as a
+pivot with nothing to eliminate: of the m + 1 rows of a framed vertex in
+degree m, only the r + 1 that l_s^(r+1) does not divide reach elimination.
+
+Both ends of a tie must see the same l_tie and the same cofactor.  At a
+framed end Y' = l_t is the tie's form itself, and at an unframed one the
+tie's form is dy X - dx Y, the same polynomial; a primitive form taken per
+frame need not be.  The cofactor is read in its home's frame F_u.  At the
+far end v = u + w, whose frame coordinates are X' = F_v (X, Y), the home's
+coordinates are the affine map F_u F_v^-1 X' + F_u w.  When both ends are
+framed this is (alpha X' + beta Y' + c, Y'), since l_t(w) = 0; when neither
+is, it is the translation (X + w_x, Y + w_y).  Either way the degree-k part
+of the expansion at v involves only coefficients of degree at least k: the
+map is block-triangular by degree.  The tie's degree-k columns are scaled by
+D^k at both ends, D the common denominator of the map, so that column (k, x)
+reads (D X'_u)^x (D Y'_u)^(k-x), a product of powers of two integer affine
+forms at v.
+
+Columns run over the spokes grouped by (home, degree), then over the ties by
+(tie, degree), then over the chords, so the ascending sweep of pivot_rows
+eliminates each (vertex, degree) block on its own and only the tie columns
+couple blocks.  Each row has a fixed slot, by vertex, degree and monomial.
+At a cofactor's home each term of l_tau^(r+1) is one store into a slot; only
+at a tie's far end can terms add up (and cancel), and there the powers of
+the two affine forms are expanded by _power once per form and exponent.
 """
 
 from __future__ import annotations
@@ -124,32 +150,90 @@ def _power(form: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
             for expo, cr in _power(rest, n - j).items()}
 
 
+Frame = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _to_frame(p: int, q: int, frame: Frame) -> tuple[int, int]:
+    """det(frame) times the coefficients of the form p X + q Y in the frame's
+    forms (X', Y'): the row (p, q) times the frame's adjugate."""
+    (a, b), (c, d) = frame
+    return p * d - q * c, q * a - p * b
+
+
+def _frame(tri: tg.Triangulation, v: int, ties: set[int]) -> Frame:
+    """The forms (X', Y') = (l_s, l_t), as (X, Y) coefficient rows with a
+    positive determinant, that interior vertex v reads its conditions in.
+
+    l_s is the form of v's first spoke, in edges_at order, whose slope is not
+    the tie's, and l_t is the tie's form; at a vertex with no tie l_t is the
+    form of the first spoke with another slope than l_s.  Vertices with no
+    spoke or with two or more ties keep (X, Y).
+    """
+    mine = [i for i in tri.edges_at[v] if i in ties]
+    spokes = [tri.edges[i].slope for i in tri.edges_at[v] if i not in ties]
+    if not spokes or len(mine) > 1:
+        return (1, 0), (0, 1)
+    t = tri.edges[mine[0]].slope if mine else None
+    s = next(sl for sl in spokes if sl != t)
+    t = t or next(sl for sl in spokes if sl != s)
+    # l_s's sign is free; a positive determinant keeps the tie's form (0, 1),
+    # not (0, -1), once it is made primitive
+    sign = 1 if s.dx * t.dy - s.dy * t.dx > 0 else -1
+    return (sign * s.dy, -sign * s.dx), (t.dy, -t.dx)
+
+
 def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict[int, int]], int]:
     """Integer rows of the conformality conditions, and their column count.
 
-    The columns are the coefficients of each interior edge's cofactor at
-    monomials of degree k <= d - r - 1 centred at its home, in this order:
-    spokes grouped by (home, degree); then ties one at a time in index
-    order, each by degree; then chords, whose columns no row touches.  There
-    is one row per interior vertex v, degree m and monomial X^a Y^(m-a)
-    centred at v, unless it has no entry; no entry is zero.
+    Each interior vertex reads its conditions, and its spokes their
+    cofactors, in the monomials of its frame (X', Y') centred at it (see
+    _frame); a tie's cofactor is read in its home's.  The columns are the
+    coefficients of each interior edge's cofactor at the monomials of degree
+    k <= d - r - 1, in this order: spokes grouped by (home, degree), in each
+    group first those whose form is one frame variable, then the others, in
+    edges_at order; then ties one at a time in index order, each by degree;
+    then chords, whose columns no row touches.  There is one row per interior
+    vertex v, degree m and monomial X'^a Y'^(m-a) of v's frame, unless it has
+    no entry; no entry is zero.
     """
     n = d - r - 1
     if n < 0:
         return [], 0
-    edges, verts = tri.edges, tri.vertices
-    # a tie's columns are scaled by den^k so that its translation from home u
-    # to v is the integer vector (wx, wy) over den
+    edges, verts, ties = tri.edges, tri.vertices, set(tri.ties)
+    frames = {v: _frame(tri, v, ties) for v in tri.interior_vertices}
+    # the terms of l^(r+1) for each edge at each interior endpoint, l its
+    # primitive form in that endpoint's frame; spokes with one term come first
+    powers, spokes = {}, {}
+    for v, frame in frames.items():
+        for i in tri.edges_at[v]:
+            p, q = _to_frame(edges[i].slope.dy, -edges[i].slope.dx, frame)
+            g = gcd(p, q)
+            powers[i, v] = _binomial(r + 1, p // g, q // g)
+        spokes[v] = sorted((i for i in tri.edges_at[v] if i not in ties),
+                           key=lambda i: len(powers[i, v]) > 1)
+    # a tie's columns are scaled by den^k so that, at its far end v, each of
+    # its home frame's forms is an integer affine form in v's frame over den
     shift = {}
     for i in tri.ties:
-        w = [q - p for p, q in zip(verts[edges[i].u], verts[edges[i].v])]
-        den = lcm(*(c.denominator for c in w))
-        shift[i] = (den, *(c.numerator * (den // c.denominator) for c in w))
-    keys = [(i, k) for v in tri.interior_vertices for k in range(n + 1)
-            for i in tri.edges_at[v] if i not in shift]
+        e = edges[i]
+        fu, fv = frames[e.u], frames[e.v]
+        w = [q - p for p, q in zip(verts[e.u], verts[e.v])]
+        lat = lcm(*(c.denominator for c in w))
+        wx, wy = (c.numerator * (lat // c.denominator) for c in w)
+        det = fv[0][0] * fv[1][1] - fv[0][1] * fv[1][0]
+        # at v the home form (a, b) reads (a, b) F_v^-1 X' + a w_x + b w_y, that
+        # is ((a, b) adj(F_v) lat, (a wx + b wy) det) over det lat
+        nums = [(*(c * lat for c in _to_frame(a, b, fv)), (a * wx + b * wy) * det) for a, b in fu]
+        g = gcd(det * lat, *nums[0], *nums[1])
+        shift[i] = (det * lat // g, *(tuple(c // g for c in m) for m in nums))
+    # the powers of each far-end form, once per form and exponent, as
+    # (X' exponent, degree, coefficient) for each term
+    expanded = {form: [[(a, a + b, c) for (a, b, _), c in _power(form, x).items()]
+                       for x in range(n + 1)]
+                for form in {form for _, *maps in shift.values() for form in maps}}
+    keys = [(i, k) for v in frames for k in range(n + 1) for i in spokes[v]]
     keys += [(i, k) for i in tri.ties for k in range(n + 1)]
     base = dict(zip(keys, accumulate((k + 1 for _, k in keys), initial=0)))
-    forms = {s: _binomial(r + 1, s.dy, -s.dx) for s in {e.slope for e in edges}}
 
     # row (v, m, a) is slot vbase + off[m - r - 1] + a, where vbase is block
     # times v's place among the interior vertices
@@ -157,16 +241,16 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     for m in range(r + 1, d + 1):
         off.append(off[-1] + m + 1)
     block = off[-1]
-    rows: list[dict[int, int]] = [{} for _ in range(block * len(tri.interior_vertices))]
-    for vbase, v in zip(range(0, len(rows), block), tri.interior_vertices):
+    rows: list[dict[int, int]] = [{} for _ in range(block * len(frames))]
+    for vbase, v in zip(range(0, len(rows), block), frames):
         for i in tri.edges_at[v]:
             e = edges[i]
             t0, t1, t2 = tri.triangles[e.triangles[0]]
             sign = -1 if (v, e.u + e.v - v) in ((t0, t1), (t1, t2), (t2, t0)) else 1
-            den, wx, wy = shift.get(i, (1, 0, 0))
-            power = [(j, sign * c) for j, c in forms[e.slope]]
+            den, *maps = shift.get(i, (1,))
+            power = [(j, sign * c) for j, c in powers[i, v]]
             if v != e.v or i not in shift:
-                # at home, column (k, x) reads den^k X^x Y^(k-x): one term in each
+                # at home, column (k, x) reads den^k X'^x Y'^(k-x): one term in each
                 # row x + j; j descending fills each row in ascending column order
                 for k in range(n + 1):
                     mbase, col0, scale = vbase + off[k], base[i, k], den ** k
@@ -175,17 +259,16 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
                         for x in range(k + 1):
                             rows[mbase + j + x][col0 + x] = c
                 continue
-            # at the far end it reads (den X + wx)^x (den Y + wy)^(k-x), whose
-            # terms can cancel; each factor is expanded once per exponent
-            px = [_binomial(x, den, wx) for x in range(n + 1)]
-            qy = [_binomial(y, den, wy) for y in range(n + 1)]
+            # at the far end it reads the x-th power of the first form times the
+            # (k-x)-th of the second, whose terms can cancel
+            px, qy = expanded[maps[0]], expanded[maps[1]]
             for k in range(n + 1):
                 for x in range(k + 1):
                     col = base[i, k] + x
                     acc: dict[int, int] = {}
-                    for a, ca in px[x]:
-                        for b, cb in qy[k - x]:
-                            slot, cab = vbase + off[a + b] + a, ca * cb
+                    for a, ma, ca in px[x]:
+                        for b, mb, cb in qy[k - x]:
+                            slot, cab = vbase + off[ma + mb] + a + b, ca * cb
                             for j, c in power:
                                 acc[slot + j] = acc.get(slot + j, 0) + cab * c
                     for slot, c in acc.items():

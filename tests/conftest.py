@@ -132,16 +132,16 @@ def affine_images(draw, meshes):
     return [(a * x + b * y + e, c * x + d * y + f) for x, y in verts], tris
 
 
-@st.composite
-def one_tie_stars(draw):
+def one_tie_star(ts=()):
     """Two interior vertices (-1/2, 0) and (1/2, 0) joined by the one totally
-    interior edge, fanned to rational points on the unit circle.
+    interior edge, fanned to rational points on the unit circle: the point of
+    parameter t, ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)), and its antipode for
+    each t in ts.
 
     The circle points always include (+-1, 0) and (0, +-1), so both interior
     vertices lie strictly inside their convex hull; (0, 1) and (0, -1) are
     the two apexes on the tie.
     """
-    ts = draw(st.sets(st.fractions(F(-9, 10), F(9, 10), max_denominator=12), max_size=6))
     circle = {(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))}
     for t in ts:
         x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
@@ -157,6 +157,13 @@ def one_tie_stars(draw):
         a, b = 2 + k, 2 + (k + 1) % len(ring)
         tris.append((0 if k < bottom - 2 else 1, a, b))
     return verts, tris
+
+
+@st.composite
+def one_tie_stars(draw):
+    """one_tie_star at up to six parameters in [-9/10, 9/10]."""
+    return one_tie_star(draw(st.sets(st.fractions(F(-9, 10), F(9, 10), max_denominator=12),
+                                     max_size=6)))
 
 
 def grid_data(n, m):

@@ -73,6 +73,9 @@ MUTANTS = [
     ("tie-home-unscaled", "oracle.py",
      "base[i, k], den ** k", "base[i, k], 1",
      ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
+    ("frame-disabled", "oracle.py",
+     "    if not spokes or len(mine) > 1:\n", "    if True:\n",
+     ["tests/test_oracle.py::test_conformality_rows_contract"]),
     ("chord-columns-dropped", "oracle.py",
      "len(tri.interior_edges()) * comb(n + 2, 2)", "sum(k + 1 for _, k in keys)",
      ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),

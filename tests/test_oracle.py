@@ -5,6 +5,7 @@ monomial basis, with no shared code path to the formulas being checked.
 """
 
 import re
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -117,6 +118,14 @@ def test_oracle_pins_slow_direct_assembly_cells(fig2):
         dm.dim(fig2, 40, 10).total == 4876
 
 
+def test_oracle_pins_rational_image_in_vertex_frames(fig2):
+    # with every vertex read in (X, Y) this cell took about three minutes on a
+    # 2-vCPU host; in vertex frames it takes about a second
+    image = tg.affine_transform(fig2, *_RATIONAL_MAP)
+    assert orc.dim_spline_oracle(image, 60, 20, allow_large=True) == \
+        dm.dim(image, 60, 20).total == 8519
+
+
 def test_oracle_pins_tie_by_tie_column_order():
     # 120 ties, each translated to its far end; with the tie columns ordered
     # by degree across ties instead of tie by tie this cell took 43-51 s
@@ -131,6 +140,8 @@ _FIG2, _TOH = tg.load_bundled("figure2"), tg.load_bundled("tohaneanu")
 _STRIP, _SQUARE_PAIR = conftest.two_tie_strip(), conftest.square_pair()
 _MIRRORED = conftest.reflect_across(_FIG2, 2, 10)
 _MORGAN_SCOTT = conftest.morgan_scott()
+# a one-tie star whose far-end frame map has denominator 3
+_STAR_IMAGE = tg.affine_transform(tg.build(*conftest.one_tie_star()), [(1, 1), (0, 3)], (0, 0))
 NAMED_MESHES = [_FIG2, _TOH, _STRIP, _SQUARE_PAIR, _MIRRORED, conftest.reflect_across(_TOH, 3, 4),
                 _MORGAN_SCOTT, conftest.morgan_scott(inner_b=(16, 12)),
                 conftest.glue_quad(_FIG2, 2, 10), conftest.glue_quad(_TOH, 3, 4),
@@ -158,7 +169,9 @@ _R_AND_D = st.integers(0, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers
           suppress_health_check=[HealthCheck.too_slow])
 @given(referee_meshes(), _R_AND_D)
 # r = 0; polynomials only (d <= r); chords, whose cofactors are free; two and five ties;
-# a tie cycle in special position, and its rational image
+# a tie cycle in special position, and its rational image; frames: a spoke parallel to
+# the tie, framed ends meeting a two-tie vertex (as drawn and as a rational image), a
+# vertex with no tie, and a far-end map with a denominator
 @example(tg.build(*conftest.grid_data(2, 2)), (0, 4))
 @example(_FIG2, (3, 3))
 @example(_SQUARE_PAIR, (1, 6))
@@ -168,6 +181,10 @@ _R_AND_D = st.integers(0, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers
 @example(tg.build(*conftest.grid_data(3, 3)), (1, 6))
 @example(_MORGAN_SCOTT, (1, 2))
 @example(tg.affine_transform(_MORGAN_SCOTT, *_RATIONAL_MAP), (2, 4))
+@example(conftest.slope_collision_star(), (2, 7))
+@example(tg.affine_transform(_STRIP, *_RATIONAL_MAP), (1, 5))
+@example(conftest.glue_quad(_FIG2, 2, 10), (2, 7))
+@example(_STAR_IMAGE, (2, 7))
 def test_spline_oracle_matches_referee(tri, rd):
     r, d = rd
     assert orc.dim_spline_oracle(tri, d, r, allow_large=True) == referee_dim_spline(tri, d, r)
@@ -178,6 +195,8 @@ def test_spline_oracle_matches_referee(tri, rd):
 # a vertex on one horizontal and one vertical line: the degree-3 monomials
 # X Y^2 and X^2 Y have no term at r = 2
 @example(conftest.cross_cut_square(), (2, 3))
+# no spoke is parallel to an axis, so only the frames give one-entry columns
+@example(tg.affine_transform(_FIG2, *_RATIONAL_MAP), (2, 6))
 def test_conformality_rows_contract(tri, rd):
     # no zero entry and no empty row (the tracer counts entries as nnz), columns
     # in range, one cofactor per interior edge, and at most one row per
@@ -190,6 +209,18 @@ def test_conformality_rows_contract(tri, rd):
     assert all(0 <= c < ncols for row in rows for c in row)
     assert ncols == len(tri.interior_edges()) * binom(d - r + 1, 2)
     assert len(rows) <= len(tri.interior_vertices) * sum(m + 1 for m in range(r + 1, d + 1))
+    # a vertex with a spoke and at most one tie reads l_s as X', so the columns
+    # of the spoke l_s comes from, binom(d - r + 1, 2) of them, have one entry
+    # each: the sweep takes them as pivots with nothing to eliminate.  Spoke
+    # columns come first, grouped by home in the order of the interior vertices
+    entries = Counter(c for row in rows for c in row)
+    start = 0
+    for v in tri.interior_vertices:
+        ties = sum(i in tri.ties for i in tri.edges_at[v])
+        end = start + (len(tri.edges_at[v]) - ties) * binom(d - r + 1, 2)
+        if ties <= 1:
+            assert sum(entries[c] == 1 for c in range(start, end)) >= binom(d - r + 1, 2)
+        start = end
 
 
 _MIDX2 = orc._monomials_exact(2, 2)
