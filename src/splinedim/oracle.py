@@ -53,10 +53,29 @@ more ties, or with no spoke, keeps (X, Y).  Every form is mapped into the
 frame and made primitive; a spoke's scale is free, its cofactor absorbs it.
 A spoke whose form is one frame variable, as l_s's own is, has a one-term
 l^(r+1) = X'^(r+1) (or Y'^(r+1)), so each of its columns has exactly one
-entry.  Those spokes come first in their (home, degree) group.  Their
-columns lead the rows they meet, and the sweep of pivot_rows takes each as a
-pivot with nothing to eliminate: of the m + 1 rows of a framed vertex in
-degree m, only the r + 1 that l_s^(r+1) does not divide reach elimination.
+entry.  Those spokes come first in their (home, degree) group.
+
+A column with one nonzero entry can be deleted together with that entry's
+row: subtracting multiples of the column clears the rest of the row, which
+splits off the entry as a block of its own, so the rank drops by exactly 1
+and the nullity is kept.  Column (k, x) of l_s's own spoke s holds
+X'^(x+r+1) Y'^(k-x), one entry in the row X'^a Y'^(m-a) with a = x + r + 1,
+and every row with a > r of degree m = k + r + 1 is hit by one of them.  So
+a framed vertex builds neither s's columns nor those rows: r + 1 rows per
+degree m are left, with a <= r, where there were m + 1.
+
+A framed vertex's other spokes list column (k, x) at col0 + k - x, in
+descending x.  A spoke l = p X' + q Y' with q != 0 has the term
+q^(r+1) Y'^(r+1) of X'-exponent 0, so it meets the row of exponent a at
+columns col0 + k - a + j for the exponents j of l^(r+1) with a - k <= j <= a,
+the first of which is col0 + k - a whenever a <= k.  Once m >= 2r + 1, that is
+k >= r, every kept row has a <= k, and the r + 1 rows of the block lead at
+r + 1 distinct columns of the first spoke with q != 0 (a spoke parallel to s
+has no entry left in them): the sweep of pivot_rows takes each as a pivot
+with nothing to eliminate.  Only the blocks with m <= 2r, whose rows with
+a > k can share a lead, still eliminate.  In ascending x a spoke with p and
+q both nonzero would lead every row at col0, through its term with j = a.
+Vertices that keep (X, Y) list x ascending, so their rows are as they were.
 
 Both ends of a tie must see the same l_tie and the same cofactor.  At a
 framed end Y' = l_t is the tie's form itself, and at an unframed one the
@@ -70,23 +89,25 @@ of the expansion at v involves only coefficients of degree at least k: the
 map is block-triangular by degree.  The tie's degree-k columns are scaled by
 D^k at both ends, D the common denominator of the map, so that column (k, x)
 reads (D X'_u)^x (D Y'_u)^(k-x), a product of powers of two integer affine
-forms at v.
+forms at v.  A framed far end reads the tie as Y', one term, and keeps only
+the products' terms whose X'-exponent is at most r.
 
 Columns run over the spokes grouped by (home, degree), then over the ties by
 (tie, degree), then over the chords, so the ascending sweep of pivot_rows
 eliminates each (vertex, degree) block on its own and only the tie columns
 couple blocks.  Each row has a fixed slot, by vertex, degree and monomial.
 At a cofactor's home each term of l_tau^(r+1) is one store into a slot; only
-at a tie's far end can terms add up (and cancel), and there the powers of
-the two affine forms are expanded by _power once per form and exponent.
+at a tie's far end can terms add up (and cancel).  There _power expands
+each of the two affine forms once for every exponent up to d - r - 1, and
+it expands the forms' tails once for all of those exponents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import triangulation as tg
@@ -135,19 +156,33 @@ def _binomial(n: int, p: int, q: int) -> list[tuple[int, int]]:
     return [(j, c) for j in range(n + 1) if (c := comb(n, j) * p ** j * q ** (n - j))]
 
 
-def _power(form: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
-    """The n-th power of a linear form, expanded one variable at a time.
+def _power(form: Sequence[int], exponents: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
+    """The powers of a linear form at each of the exponents, expanded one
+    variable at a time.
 
-    Keys are exponent tuples of total degree n in descending lex order, values
-    their integer coefficients; monomials with a zero coefficient are left out.
+    Keys are exponent tuples in descending lex order, values their integer
+    coefficients; monomials with a zero coefficient are left out.  The tail's
+    powers are expanded once for all the exponents.
     """
     head, *rest = form
     if not rest:
-        c = head ** n
-        return {(n,): c} if c else {}
-    # (head X + rest)^n holds comb(n, j) head^j X^j times rest^(n - j)
-    return {(j, *expo): c * cr for j, c in reversed(_binomial(n, head, 1))
-            for expo, cr in _power(rest, n - j).items()}
+        return [{(n,): c} if (c := head ** n) else {} for n in exponents]
+    if not head:
+        return [{(0,) + expo: c for expo, c in tail.items()} for tail in _power(rest, exponents)]
+    # (head X + rest)^n holds comb(n, j) head^j X^j times rest^(n - j), and
+    # head^j is hp[j]
+    top = max(exponents, default=-1)
+    tails = [tail.items() for tail in _power(rest, range(top + 1))]
+    hp = list(accumulate(repeat(head, top), mul, initial=1))
+    powers = []
+    for n in exponents:
+        terms = {}
+        for j in range(n, -1, -1):
+            c = comb(n, j) * hp[j]
+            for expo, ct in tails[n - j]:
+                terms[(j,) + expo] = c * ct
+        powers.append(terms)
+    return powers
 
 
 Frame = tuple[tuple[int, int], tuple[int, int]]
@@ -160,26 +195,28 @@ def _to_frame(p: int, q: int, frame: Frame) -> tuple[int, int]:
     return p * d - q * c, q * a - p * b
 
 
-def _frame(tri: tg.Triangulation, v: int, ties: set[int]) -> Frame:
+def _frame(tri: tg.Triangulation, v: int, ties: set[int]) -> tuple[Frame, int | None]:
     """The forms (X', Y') = (l_s, l_t), as (X, Y) coefficient rows with a
-    positive determinant, that interior vertex v reads its conditions in.
+    positive determinant, that interior vertex v reads its conditions in, and
+    the spoke s whose form l_s is.
 
-    l_s is the form of v's first spoke, in edges_at order, whose slope is not
-    the tie's, and l_t is the tie's form; at a vertex with no tie l_t is the
-    form of the first spoke with another slope than l_s.  Vertices with no
-    spoke or with two or more ties keep (X, Y).
+    s is v's first spoke, in edges_at order, whose slope is not the tie's, and
+    l_t is the tie's form; at a vertex with no tie l_t is the form of the first
+    spoke with another slope than s.  Vertices with no spoke or with two or
+    more ties keep (X, Y) and have no s.
     """
     mine = [i for i in tri.edges_at[v] if i in ties]
-    spokes = [tri.edges[i].slope for i in tri.edges_at[v] if i not in ties]
+    spokes = [i for i in tri.edges_at[v] if i not in ties]
     if not spokes or len(mine) > 1:
-        return (1, 0), (0, 1)
+        return ((1, 0), (0, 1)), None
     t = tri.edges[mine[0]].slope if mine else None
-    s = next(sl for sl in spokes if sl != t)
-    t = t or next(sl for sl in spokes if sl != s)
+    s = next(i for i in spokes if tri.edges[i].slope != t)
+    ls = tri.edges[s].slope
+    t = t or next(sl for i in spokes if (sl := tri.edges[i].slope) != ls)
     # l_s's sign is free; a positive determinant keeps the tie's form (0, 1),
     # not (0, -1), once it is made primitive
-    sign = 1 if s.dx * t.dy - s.dy * t.dx > 0 else -1
-    return (sign * s.dy, -sign * s.dx), (t.dy, -t.dx)
+    sign = 1 if ls.dx * t.dy - ls.dy * t.dx > 0 else -1
+    return ((sign * ls.dy, -sign * ls.dx), (t.dy, -t.dx)), s
 
 
 def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict[int, int]], int]:
@@ -187,20 +224,25 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
 
     Each interior vertex reads its conditions, and its spokes their
     cofactors, in the monomials of its frame (X', Y') centred at it (see
-    _frame); a tie's cofactor is read in its home's.  The columns are the
-    coefficients of each interior edge's cofactor at the monomials of degree
-    k <= d - r - 1, in this order: spokes grouped by (home, degree), in each
-    group first those whose form is one frame variable, then the others, in
-    edges_at order; then ties one at a time in index order, each by degree;
-    then chords, whose columns no row touches.  There is one row per interior
-    vertex v, degree m and monomial X'^a Y'^(m-a) of v's frame, unless it has
-    no entry; no entry is zero.
+    _frame); a tie's cofactor is read in its home's.  A framed vertex's spoke
+    s and the rows it alone pivots are left out.  The columns are the
+    coefficients of every other interior edge's cofactor at the monomials of
+    degree k <= d - r - 1, in this order: spokes grouped by (home, degree), in
+    each group first those whose form is one frame variable, then the others,
+    in edges_at order, each with column (k, x) at X'^x Y'^(k-x) in descending
+    x; then ties one at a time in index order, each by degree, with (k, x) in
+    ascending x; then chords, whose columns no row touches.  There is one row
+    per interior vertex v, degree m and monomial X'^a Y'^(m-a) of v's frame,
+    with a <= r at a framed v, unless it has no entry; no entry is zero.
     """
     n = d - r - 1
     if n < 0:
         return [], 0
     edges, verts, ties = tri.edges, tri.vertices, set(tri.ties)
-    frames = {v: _frame(tri, v, ties) for v in tri.interior_vertices}
+    # free[v] is the spoke s of a framed vertex v, whose columns would be free pivots
+    frames, free = {}, {}
+    for v in tri.interior_vertices:
+        frames[v], free[v] = _frame(tri, v, ties)
     # the terms of l^(r+1) for each edge at each interior endpoint, l its
     # primitive form in that endpoint's frame; spokes with one term come first
     powers, spokes = {}, {}
@@ -209,7 +251,7 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
             p, q = _to_frame(edges[i].slope.dy, -edges[i].slope.dx, frame)
             g = gcd(p, q)
             powers[i, v] = _binomial(r + 1, p // g, q // g)
-        spokes[v] = sorted((i for i in tri.edges_at[v] if i not in ties),
+        spokes[v] = sorted((i for i in tri.edges_at[v] if i not in ties and i != free[v]),
                            key=lambda i: len(powers[i, v]) > 1)
     # a tie's columns are scaled by den^k so that, at its far end v, each of
     # its home frame's forms is an integer affine form in v's frame over den
@@ -226,41 +268,49 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
         nums = [(*(c * lat for c in _to_frame(a, b, fv)), (a * wx + b * wy) * det) for a, b in fu]
         g = gcd(det * lat, *nums[0], *nums[1])
         shift[i] = (det * lat // g, *(tuple(c // g for c in m) for m in nums))
-    # the powers of each far-end form, once per form and exponent, as
-    # (X' exponent, degree, coefficient) for each term
-    expanded = {form: [[(a, a + b, c) for (a, b, _), c in _power(form, x).items()]
-                       for x in range(n + 1)]
+    # the powers of each far-end form up to n, as (X' exponent, degree,
+    # coefficient) for each term in ascending X' exponent
+    expanded = {form: [[(a, a + b, c) for (a, b, _), c in reversed(p.items())]
+                       for p in _power(form, range(n + 1))]
                 for form in {form for _, *maps in shift.values() for form in maps}}
     keys = [(i, k) for v in frames for k in range(n + 1) for i in spokes[v]]
     keys += [(i, k) for i in tri.ties for k in range(n + 1)]
     base = dict(zip(keys, accumulate((k + 1 for _, k in keys), initial=0)))
 
-    # row (v, m, a) is slot vbase + off[m - r - 1] + a, where vbase is block
-    # times v's place among the interior vertices
-    off = [0]
-    for m in range(r + 1, d + 1):
-        off.append(off[-1] + m + 1)
-    block = off[-1]
-    rows: list[dict[int, int]] = [{} for _ in range(block * len(frames))]
-    for vbase, v in zip(range(0, len(rows), block), frames):
+    # row (v, m, a) is slot vbase + off[m - r - 1] + a for a <= top, where a
+    # framed vertex keeps r + 1 rows per degree and any other all m + 1
+    full = list(accumulate(range(r + 2, d + 2), initial=0))
+    short = list(range(0, (n + 2) * (r + 1), r + 1))
+    slots, nrows = {}, 0
+    for v in frames:
+        off, top = (full, d) if free[v] is None else (short, r)
+        slots[v] = nrows, off, top
+        nrows += off[-1]
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for v, (vbase, off, top) in slots.items():
         for i in tri.edges_at[v]:
+            if i == free[v]:
+                continue
             e = edges[i]
             t0, t1, t2 = tri.triangles[e.triangles[0]]
             sign = -1 if (v, e.u + e.v - v) in ((t0, t1), (t1, t2), (t2, t0)) else 1
             den, *maps = shift.get(i, (1,))
             power = [(j, sign * c) for j, c in powers[i, v]]
             if v != e.v or i not in shift:
-                # at home, column (k, x) reads den^k X'^x Y'^(k-x): one term in each
-                # row x + j; j descending fills each row in ascending column order
+                # at home, column (k, x) reads den^k X'^x Y'^(k-x): one term in
+                # each row x + j up to top; a framed vertex's spokes run x downwards
+                down = free[v] is not None and i not in shift
                 for k in range(n + 1):
                     mbase, col0, scale = vbase + off[k], base[i, k], den ** k
-                    for j, c in reversed(power):
+                    cols = range(col0 + k, col0 - 1, -1) if down else range(col0, col0 + k + 1)
+                    for j, c in power:
                         c *= scale
-                        for x in range(k + 1):
-                            rows[mbase + j + x][col0 + x] = c
+                        for x in range(min(k, top - j) + 1):
+                            rows[mbase + j + x][cols[x]] = c
                 continue
             # at the far end it reads the x-th power of the first form times the
-            # (k-x)-th of the second, whose terms can cancel
+            # (k-x)-th of the second, whose terms can cancel; a framed far end
+            # reads the tie as Y', so there j is 0 and a + b must not pass top
             px, qy = expanded[maps[0]], expanded[maps[1]]
             for k in range(n + 1):
                 for x in range(k + 1):
@@ -268,14 +318,19 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
                     acc: dict[int, int] = {}
                     for a, ma, ca in px[x]:
                         for b, mb, cb in qy[k - x]:
+                            if a + b > top:
+                                break
                             slot, cab = vbase + off[ma + mb] + a + b, ca * cb
                             for j, c in power:
                                 acc[slot + j] = acc.get(slot + j, 0) + cab * c
                     for slot, c in acc.items():
                         if c:
                             rows[slot][col] = c
-    # every interior edge has binom(n + 2, 2) columns, the chords' last
-    return [row for row in rows if row], len(tri.interior_edges()) * comb(n + 2, 2)
+    # a disk has T + V_i - 1 interior edges (Euler); each has binom(n + 2, 2)
+    # columns, the chords' last, except each framed vertex's spoke s
+    nfree = sum(s is not None for s in free.values())
+    ncols = (len(tri.triangles) + len(frames) - 1 - nfree) * comb(n + 2, 2)
+    return [row for row in rows if row], ncols
 
 
 def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool = False) -> int:
@@ -285,12 +340,14 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     conformality conditions, as the module docstring explains.  Their
     columns hold every interior edge's cofactor: spokes by (home, degree),
     then ties one at a time in index order, then chords, which are in no
-    condition.  The guardrail counts the unknowns of a direct assembly
-    instead: a polynomial per triangle and a multiplier per interior edge.
+    condition; a framed vertex's spoke s has none (see _conformality_rows).
+    The guardrail counts the unknowns of a direct assembly instead: a
+    polynomial per triangle and a multiplier per interior edge, of which a
+    disk has T + V_i - 1 (Euler).
     """
     check_ints("d and r", d, r, low=0)
     unknowns = (len(tri.triangles) * binom(d + 2, 2)
-                + len(tri.interior_edges()) * binom(d - r + 1, 2))
+                + (len(tri.triangles) + len(tri.interior_vertices) - 1) * binom(d - r + 1, 2))
     if unknowns > MAX_COLUMNS and not allow_large:
         raise TooLarge(f"{unknowns} unknowns exceeds the {MAX_COLUMNS} column guardrail")
     return binom(d + 2, 2) + kernel_dim_sparse(*_conformality_rows(tri, d, r))
@@ -314,7 +371,7 @@ def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,
     def row_lists() -> Iterator[list[dict[int, int]]]:
         for form, power in forms:
             if power <= d:
-                gen = _power(form, power)
+                (gen,) = _power(form, (power,))
                 yield [{midx[tuple(map(add, mono, pm))]: pc for pm, pc in gen.items()}
                        for mono in _monomials_exact(nvars, d - power)]
     return row_lists()

@@ -77,8 +77,18 @@ MUTANTS = [
      "    if not spokes or len(mine) > 1:\n", "    if True:\n",
      ["tests/test_oracle.py::test_conformality_rows_contract"]),
     ("chord-columns-dropped", "oracle.py",
-     "len(tri.interior_edges()) * comb(n + 2, 2)", "sum(k + 1 for _, k in keys)",
+     "(len(tri.triangles) + len(frames) - 1 - nfree) * comb(n + 2, 2)",
+     "sum(k + 1 for _, k in keys)",
      ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
+    ("free-pivot-rows-kept", "oracle.py",
+     "(t.dy, -t.dx)), s\n", "(t.dy, -t.dx)), None\n",
+     ["tests/test_oracle.py::test_conformality_rows_contract"]),
+    ("spoke-columns-ascending", "oracle.py",
+     "down = free[v] is not None and i not in shift", "down = False",
+     ["tests/test_oracle.py::test_conformality_rows_contract"]),
+    ("far-end-scale-dropped", "oracle.py",
+     "shift[i] = (det * lat // g,", "shift[i] = (lat,",
+     ["tests/test_oracle.py::test_conformality_rows_meet_the_conditions"]),
     # the middle branch of the closed form, past the golden tables' r <= 12
     ("f-explicit-start-plus-1", "dimension.py",
      "for i in range(start, d - r):", "for i in range(start + 1, d - r):",
@@ -91,10 +101,10 @@ MUTANTS = [
      ["tests/test_dimension.py::test_f_explicit_matches_lattice_count_to_r_500"]),
     # powers of linear forms in the ideal oracles
     ("power-binomial-swapped", "oracle.py",
-     "_binomial(n, head, 1)", "_binomial(n, 1, head)",
+     "c = comb(n, j) * hp[j]", "c = comb(n, j) * hp[n - j]",
      ["tests/test_oracle.py::test_power_expands_form"]),
     ("power-base-case", "oracle.py",
-     "c = head ** n\n", "c = head\n",
+     "(c := head ** n)", "(c := head)",
      ["tests/test_oracle.py::test_power_expands_form"]),
 ]
 

@@ -43,7 +43,7 @@ def referee_dim_spline(tri: tg.Triangulation, d: int, r: int) -> int:
             a = q.y - p.y
             b = p.x - q.x
             # the edge's line a*x + b*y + c = 0, homogenized with z first
-            power = _power(_int_linear_form((-(a * p.x + b * p.y), a, b)), r + 1)
+            (power,) = _power(_int_linear_form((-(a * p.x + b * p.y), a, b)), (r + 1,))
             for hm, hk in mono_h.items():
                 for pm, pc in power.items():
                     eqs[midx[hm[0] + pm[0], hm[1] + pm[1], hm[2] + pm[2]]][baseh + hk] = -pc

@@ -4,10 +4,11 @@ Every function here recomputes a dimension by exact linear algebra on a
 monomial basis, with no shared code path to the formulas being checked.
 """
 
+import random
 import re
-from collections import Counter
+from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -190,6 +191,55 @@ def test_spline_oracle_matches_referee(tri, rd):
     assert orc.dim_spline_oracle(tri, d, r, allow_large=True) == referee_dim_spline(tri, d, r)
 
 
+# ------------------------------------------- the conformality rows' layout
+#
+# What each column of _conformality_rows holds, as the oracle module's
+# docstring gives it, derived here without the row builder.
+
+
+def _frame_at(tri, v):
+    """The frame (X', Y') = (l_s, l_t) of interior vertex v, as (X, Y)
+    coefficient rows with a positive determinant, and its spoke s; (X, Y) and
+    no s at a vertex with two or more ties."""
+    mine = [i for i in tri.edges_at[v] if i in tri.ties]
+    if len(mine) > 1:
+        return ((1, 0), (0, 1)), None
+    spokes = [i for i in tri.edges_at[v] if i not in tri.ties]
+    t = tri.edges[mine[0]].slope if mine else None
+    s = next(i for i in spokes if tri.edges[i].slope != t)
+    ls = tri.edges[s].slope
+    t = t or next(tri.edges[i].slope for i in spokes if tri.edges[i].slope != ls)
+    sign = 1 if ls.dx * t.dy - ls.dy * t.dx > 0 else -1
+    return ((sign * ls.dy, -sign * ls.dx), (t.dy, -t.dx)), s
+
+
+def _in_frame(slope, frame):
+    """The edge form dy X - dx Y as p X' + q Y', scaled to primitive integers
+    with its sign kept."""
+    (a, b), (c, e) = frame
+    det = a * e - b * c
+    p, q = F(slope.dy * e + slope.dx * c, det), F(-slope.dx * a - slope.dy * b, det)
+    scale = F(lcm(p.denominator, q.denominator), gcd(p.numerator, q.numerator))
+    return int(p * scale), int(q * scale)
+
+
+def _layout(tri, d, r):
+    """Each interior vertex's frame and spoke s, and each column's (edge, home,
+    k, x): the coefficient of X'^x Y'^(k-x) in its home's frame.  Spokes by
+    (home, degree), those with a one-variable form first, x descending at a
+    framed home; then ties by (tie, degree), x ascending; chords follow."""
+    frames = {v: _frame_at(tri, v) for v in tri.interior_vertices}
+    cols = []
+    for v, (frame, s) in frames.items():
+        spokes = sorted((i for i in tri.edges_at[v] if i not in tri.ties and i != s),
+                        key=lambda i: 0 not in _in_frame(tri.edges[i].slope, frame))
+        for k in range(d - r):
+            xs = range(k, -1, -1) if s is not None else range(k + 1)
+            cols += [(i, v, k, x) for i in spokes for x in xs]
+    cols += [(i, tri.edges[i].u, k, x) for i in tri.ties for k in range(d - r) for x in range(k + 1)]
+    return frames, cols
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(referee_meshes(), _R_AND_D)
 # a vertex on one horizontal and one vertical line: the degree-3 monomials
@@ -197,30 +247,129 @@ def test_spline_oracle_matches_referee(tri, rd):
 @example(conftest.cross_cut_square(), (2, 3))
 # no spoke is parallel to an axis, so only the frames give one-entry columns
 @example(tg.affine_transform(_FIG2, *_RATIONAL_MAP), (2, 6))
+# framed blocks with m >= 2r + 1 at every vertex kind: a tie's ends, no tie,
+# a spoke parallel to the tie; and vertices with two or more ties
+@example(_FIG2, (2, 8))
+@example(conftest.glue_quad(_FIG2, 2, 10), (1, 6))
+@example(conftest.slope_collision_star(), (1, 5))
+@example(tg.build(*conftest.grid_data(3, 3)), (1, 6))
 def test_conformality_rows_contract(tri, rd):
     # no zero entry and no empty row (the tracer counts entries as nnz), columns
-    # in range, one cofactor per interior edge, and at most one row per
-    # (interior vertex, degree m, monomial)
+    # in range, one cofactor per interior edge but each framed vertex's spoke s,
+    # at most r + 1 rows per framed (vertex, degree m) and m + 1 per other one
     r, d = rd
     rows, ncols = orc._conformality_rows(tri, d, r)
     if d <= r:
         assert (rows, ncols) == ([], 0)
     assert all(row and all(row.values()) for row in rows)
     assert all(0 <= c < ncols for row in rows for c in row)
-    assert ncols == len(tri.interior_edges()) * binom(d - r + 1, 2)
-    assert len(rows) <= len(tri.interior_vertices) * sum(m + 1 for m in range(r + 1, d + 1))
-    # a vertex with a spoke and at most one tie reads l_s as X', so the columns
-    # of the spoke l_s comes from, binom(d - r + 1, 2) of them, have one entry
-    # each: the sweep takes them as pivots with nothing to eliminate.  Spoke
-    # columns come first, grouped by home in the order of the interior vertices
-    entries = Counter(c for row in rows for c in row)
-    start = 0
-    for v in tri.interior_vertices:
-        ties = sum(i in tri.ties for i in tri.edges_at[v])
-        end = start + (len(tri.edges_at[v]) - ties) * binom(d - r + 1, 2)
-        if ties <= 1:
-            assert sum(entries[c] == 1 for c in range(start, end)) >= binom(d - r + 1, 2)
-        start = end
+    frames, cols = _layout(tri, d, r)
+    framed = {v for v, (_, s) in frames.items() if s is not None}
+    assert ncols == (len(tri.interior_edges()) - len(framed)) * binom(d - r + 1, 2)
+    assert len(rows) <= sum(r + 1 if v in framed else m + 1
+                            for v in tri.interior_vertices for m in range(r + 1, d + 1))
+    # chords' columns are last and in no row
+    assert all(c < len(cols) for row in rows for c in row)
+    # a row of vertex v and degree m meets the spokes of v in degree m - r - 1 only
+    group = {c: (v, k) for c, (i, v, k, _) in enumerate(cols) if i not in tri.ties}
+    blocks = {}
+    for row in rows:
+        keys = {group[c] for c in row if c in group}
+        assert len(keys) <= 1
+        if keys:
+            blocks.setdefault(keys.pop(), []).append(row)
+    for (v, k), block in blocks.items():
+        assert len(block) <= (r + 1 if v in framed else k + r + 2)
+        # the sweep takes every row of a framed block with m >= 2r + 1 as a
+        # pivot with nothing to eliminate: its r + 1 rows lead at distinct
+        # spoke columns
+        if v in framed and k >= r:
+            leads = {min(row) for row in block}
+            assert len(block) == len(leads) == r + 1
+            assert leads <= group.keys()
+
+
+def _kernel_vector(rows, ncols, rng):
+    """A random vector of the rows' kernel: random free columns, the pivots' by
+    back substitution on the echelon basis of pivot_rows."""
+    z = [F(rng.randint(-99, 99)) for _ in range(ncols)]
+    for row in reversed(list(pivot_rows(rows))):
+        lead = min(row)
+        z[lead] = -sum((v * z[c] for c, v in row.items() if c != lead), F(0)) / row[lead]
+    return z
+
+
+def _frame_coords(frame, origin, point):
+    (a, b), (c, e) = frame
+    x, y = point[0] - origin.x, point[1] - origin.y
+    return a * x + b * y, c * x + e * y
+
+
+def _sigma(tri, v, i):
+    """-1 when the walk counterclockwise around v enters edge i's first triangle."""
+    e = tri.edges[i]
+    t = tri.triangles[e.triangles[0]]
+    return -1 if any((t[j], t[(j + 1) % 3]) == (v, e.u + e.v - v) for j in range(3)) else 1
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(referee_meshes(), st.integers(0, 2).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(r + 1, 2 * r + 4))), st.integers(0, 2 ** 32))
+# framed tie ends whose far-end map has a denominator, as drawn and as images
+@example(_FIG2, (2, 6), 0)
+@example(_TOH, (1, 5), 0)
+@example(tg.affine_transform(_FIG2, *_RATIONAL_MAP), (1, 5), 0)
+@example(_STAR_IMAGE, (2, 7), 0)
+@example(_STRIP, (1, 5), 0)
+@example(tg.affine_transform(_MORGAN_SCOTT, *_RATIONAL_MAP), (1, 4), 0)
+def test_conformality_rows_meet_the_conditions(tri, rd, seed):
+    # Read every column as the docstring says: spoke (k, x) is X'^x Y'^(k-x) in
+    # its home's frame, tie (k, x) is (D X'_u)^x (D Y'_u)^(k-x), D the least
+    # common denominator of the map F_u F_v^-1 X' + F_u w from the far end's
+    # frame coordinates to the home's.  A random kernel vector of the rows then
+    # gives cofactors whose conditions sum_tau sigma_tau l_tau^(r+1) q_tau,
+    # each l_tau primitive in the vertex's frame, vanish at every interior
+    # vertex once the dropped spoke s's cofactor is solved for: at random
+    # points the sum over the other edges is -sigma_s l_s^(r+1) times some
+    # polynomial of degree at most d - r - 1.
+    r, d = rd
+    rng = random.Random(seed)
+    rows, ncols = orc._conformality_rows(tri, d, r)
+    frames, cols = _layout(tri, d, r)
+    scales = {}
+    for i in tri.ties:
+        e = tri.edges[i]
+        (fu, _), (fv, _) = frames[e.u], frames[e.v]
+        (a, b), (c, g) = fv
+        det = a * g - b * c
+        inv = ((F(g, det), F(-b, det)), (F(-c, det), F(a, det)))
+        w = [q - p for p, q in zip(tri.vertices[e.u], tri.vertices[e.v])]
+        terms = [fu[j][0] * inv[0][l] + fu[j][1] * inv[1][l] for j in range(2) for l in range(2)]
+        terms += [fu[j][0] * w[0] + fu[j][1] * w[1] for j in range(2)]
+        scales[i] = lcm(*(t.denominator for t in terms))
+    n = d - r - 1
+    monomials = [(k, x) for k in range(n + 1) for x in range(k + 1)]
+    z = _kernel_vector(rows, ncols, rng)
+    for v, (frame, s) in frames.items():
+        pv = tri.vertices[v]
+        # unknowns: s's coefficients at X'^x Y'^(k-x), then the right-hand side
+        rhs = len(monomials) if s is not None else 0
+        system = []
+        for _ in range(binom(d + 2, 2) + 3):
+            point = (pv.x + rng.randint(-30, 30), pv.y + rng.randint(-30, 30))
+            coords = {h: _frame_coords(frames[h][0], tri.vertices[h], point) for h in frames}
+            X, Y = coords[v]
+            ell = {i: _sigma(tri, v, i) * (p * X + q * Y) ** (r + 1)
+                   for i in tri.edges_at[v] for p, q in [_in_frame(tri.edges[i].slope, frame)]}
+            total = sum(ell[i] * z[col] * scales.get(i, 1) ** k * coords[h][0] ** x * coords[h][1] ** (k - x)
+                        for col, (i, h, k, x) in enumerate(cols) if i in ell)
+            row = [ell[s] * X ** x * Y ** (k - x) for k, x in monomials] if s is not None else []
+            row.append(-total)
+            den = lcm(*(c.denominator for c in map(F, row)))
+            system.append({j: int(c * den) for j, c in enumerate(row) if c})
+        # solvable: the right-hand side's column adds no rank
+        assert rank_sparse(system) == rank_sparse([{j: c for j, c in eq.items() if j != rhs}
+                                                   for eq in system])
 
 
 _MIDX2 = orc._monomials_exact(2, 2)
@@ -362,9 +511,15 @@ def test_hilbert_ideal_oracle_rejects_zero_form_in_no_variables():
 @pytest.mark.parametrize("form", [(1,), (3, -2), (0, 5), (2, 0), (1, -1, 2), (0, 3, 0),
                                   (-2, 0, 7), (4, 5, -6)])
 def test_power_expands_form(form):
+    # every exponent up to 9 at once, each alone and some out of order, with
+    # the keys in descending lex order
     points = [(1, 1, 1), (2, -1, 3), (-3, 4, 0), (5, 2, -7)]
-    for n in range(10):
-        power = orc._power(form, n)
+    powers = orc._power(form, range(10))
+    assert len(powers) == 10 and orc._power(form, []) == []
+    assert orc._power(form, [7, 2, 7]) == [powers[7], powers[2], powers[7]]
+    for n, power in enumerate(powers):
+        assert orc._power(form, [n]) == [power]
+        assert list(power) == sorted(power, reverse=True)
         assert all(sum(m) == n and c for m, c in power.items())
         for x in points:
             x = x[:len(form)]
