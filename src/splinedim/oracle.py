@@ -100,14 +100,47 @@ At a cofactor's home each term of l_tau^(r+1) is one store into a slot; only
 at a tie's far end can terms add up (and cancel).  There _power expands
 each of the two affine forms once for every exponent up to d - r - 1, and
 it expands the forms' tails once for all of those exponents.
+
+The ideal oracles take the rank of the degree-D multiples of generators
+g^a, g a linear form, in the monomials of degree D.  An invertible linear
+substitution of the variables is a graded ring automorphism: it keeps the
+Hilbert function of an ideal I, and it keeps dim (I : z^e)_d, which becomes
+dim (I' : z'^e)_d.  Scaling a form does not change the ideal.  So each call
+reads every form in a frame of its own: X'_k = F_k . x, where the rows of F
+are the first linearly independent candidate forms, completed by coordinate
+vectors.  A form with coefficient row c reads c F^-1 there, so the integer
+row c adj(F) = det(F) c F^-1, made primitive, is its framed form.  The
+candidates are the generators of exponent at most D, smallest exponent
+first.  colon_pair_dims puts each ideal's first candidate first, then the
+colon form, then the rest: on homology_dim_oracle's systems the frame is
+(first generator of ideal 1, first of ideal 2, z), each ideal loses a
+generator, and the z^e rows have one term each.
+
+A generator whose framed form is x_k alone, with exponent a, has as its
+degree-D multiples exactly the monomials whose x_k-exponent is at least a,
+one unit row each.  Deleting those columns together with their rows drops
+the rank by exactly their count, by the argument above for a column with
+one entry.  So the rank is the number of covered monomials plus the rank of
+the other generators' rows read in the kept columns, the monomials whose
+exponent in each x_k is below cap_k, the least such a.  A multiplier at or
+past a cap gives a row that is covered throughout and is not built.  In two
+variables the frame takes two generators, of exponents a1 and a2, and only
+X'^i Y'^(D-i) with D - a2 < i < a1 is kept, often nothing.
+
+A colon oracle counts the degree-d monomials, whose products with z^e are
+independent, less the rank of those products modulo I: rank(B + Z) -
+rank(B), B a basis of I_D and Z the z^e rows.  The covered span lies inside
+the span of B, so deleting the covered columns from B and from Z keeps that
+difference.  In colon_pair_dims each quotient deletes its own ideal's
+covered columns, and the second quotient's kept columns follow the first's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import triangulation as tg
@@ -129,14 +162,21 @@ class DegenerateSlopes(OracleError):
 MAX_COLUMNS = 5000
 
 
-def _monomials_exact(nvars: int, d: int) -> dict[tuple[int, ...], int]:
-    """Column of each exponent tuple of total degree d, in descending lex order; none if d < 0."""
+def _monomials_exact(nvars: int, d: int, caps: Sequence[int] | None = None) -> dict[tuple[int, ...], int]:
+    """Column of each exponent tuple of total degree d, in descending lex order; none if d < 0.
+
+    With caps, only the tuples whose k-th exponent is below caps[k] for every
+    k are kept, numbered in the same order.
+    """
     if nvars == 0 or d < 0:
         return {(): 0} if nvars == d == 0 else {}
+    # the largest exponent kept in each variable
+    *tops, last = [d] * nvars if caps is None else [c - 1 for c in caps]
     heads = [((), d)]
-    for _ in range(nvars - 1):
-        heads = [(head + (a,), rem - a) for head, rem in heads for a in range(rem, -1, -1)]
-    return {head + (rem,): k for k, (head, rem) in enumerate(heads)}
+    for top in tops:
+        heads = [(head + (a,), rem - a) for head, rem in heads for a in range(min(rem, top), -1, -1)]
+    kept = [head + (rem,) for head, rem in heads if rem <= last]
+    return dict(zip(kept, range(len(kept))))
 
 
 def _int_linear_form(coeffs: Sequence) -> tuple[int, ...]:
@@ -353,13 +393,12 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     return binom(d + 2, 2) + kernel_dim_sparse(*_conformality_rows(tri, d, r))
 
 
-def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,
-                   midx: dict, nvars: int) -> Iterator[list[dict[int, int]]]:
-    """Rows spanning the degree-d piece of the ideal the generators cut out,
-    one list per generator of degree at most d.
+def _checked_forms(generators: Sequence[tuple[Sequence, int]],
+                   nvars: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each generator's primitive integer form and exponent.
 
-    Every generator is checked here, before any row is built, so a caller
-    that stops reading early still refuses a bad generator late in the list.
+    Every generator is checked, in order, before any is used, so an oracle
+    that stops early still refuses a bad generator late in the list.
     """
     forms = []
     for coeffs, power in generators:
@@ -367,14 +406,96 @@ def _multiple_rows(generators: Sequence[tuple[Sequence, int]], d: int,
             raise ValueError("generator arity mismatch")
         check_ints("generator exponent", power, low=0)
         forms.append((_int_linear_form(coeffs), power))
+    return forms
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, expanded along its first row."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    return sum((-1) ** j * c * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, c in enumerate(rows[0]) if c)
+
+
+def _ideal_frame(candidates: Iterable[tuple[int, ...]], nvars: int) -> list[list[int]]:
+    """The columns of adj(F), F the frame whose rows are the first linearly
+    independent candidate forms, completed by coordinate vectors in order.
+
+    Column j is (-1)^(i+j) times the minor of F without row j and column i,
+    for each i; a form's coefficient row c reads c adj(F) = det(F) c F^-1 in
+    the frame, and the frame's k-th form reads det(F) x_k.
+    """
+    units = ((0,) * k + (1,) + (0,) * (nvars - 1 - k) for k in range(nvars))
+    frame: list[tuple[int, ...]] = []
+    # each pivot row is zero at the pivot columns found before it
+    pivots: dict[int, list[int]] = {}
+    for form in chain(candidates, units):
+        red = form
+        for col, prow in pivots.items():
+            if c := red[col]:
+                p = prow[col]
+                red = [p * x - c * y for x, y in zip(red, prow)]
+        col = next((k for k, x in enumerate(red) if x), None)
+        if col is not None:
+            pivots[col] = red
+            frame.append(form)
+            if len(frame) == nvars:
+                break
+    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(frame) if k != j])
+             for i in range(nvars)] for j in range(nvars)]
+
+
+def _in_frame(form: tuple[int, ...], cols: list[list[int]]) -> tuple[int, ...]:
+    """The form's coefficients in the frame whose adjugate's columns are cols,
+    made primitive."""
+    c = [sum(map(mul, form, col)) for col in cols]
+    g = gcd(*c)
+    return tuple(x // g for x in c)
+
+
+def _cover(framed: Sequence[tuple[tuple[int, ...], int]], d: int, nvars: int) -> list[int]:
+    """caps[k]: the least exponent a of a generator whose framed form is x_k
+    alone, whose degree-d multiples are the monomials with x_k-exponent at
+    least a; d + 1 where there is none."""
+    caps = [d + 1] * nvars
+    for form, power in framed:
+        support = [k for k, c in enumerate(form) if c]
+        if len(support) == 1:
+            caps[support[0]] = min(caps[support[0]], power)
+    return caps
+
+
+def _row(mono: tuple[int, ...], terms: Iterable[tuple[tuple[int, ...], int]],
+         kidx: dict[tuple[int, ...], int]) -> dict[int, int]:
+    """The product of a monomial and a power's terms, read in the kept
+    columns kidx: covered monomials are left out."""
+    return {c: pc for pm, pc in terms if (c := kidx.get(tuple(map(add, mono, pm)))) is not None}
+
+
+def _framed_basis(framed: Sequence[tuple[tuple[int, ...], int]], d: int,
+                  caps: list[int]) -> tuple[list[dict[int, int]], dict[tuple[int, ...], int]]:
+    """Echelon basis of the degree-d piece of a framed ideal, its covered
+    columns deleted, and the kept columns: the monomials below caps.
+
+    Generators whose form is one variable are covered and build no rows; the
+    others build one row per multiplier below caps, read in the kept columns.
+    """
+    nvars = len(caps)
+    kidx = _monomials_exact(nvars, d, caps)
 
     def row_lists() -> Iterator[list[dict[int, int]]]:
-        for form, power in forms:
-            if power <= d:
-                (gen,) = _power(form, (power,))
-                yield [{midx[tuple(map(add, mono, pm))]: pc for pm, pc in gen.items()}
-                       for mono in _monomials_exact(nvars, d - power)]
-    return row_lists()
+        mults: dict[int, dict[tuple[int, ...], int]] = {}
+        for form, power in framed:
+            if power <= d and form.count(0) < nvars - 1:
+                if power not in mults:
+                    mults[power] = _monomials_exact(nvars, d - power, caps)
+                (terms,) = _power(form, (power,))
+                items = terms.items()
+                yield [row for mono in mults[power] if (row := _row(mono, items, kidx))]
+    return (_ideal_basis(row_lists(), len(kidx)) if kidx else []), kidx
 
 
 def _ideal_basis(row_lists: Iterable[list[dict[int, int]]], ncols: int) -> list[dict[int, int]]:
@@ -396,31 +517,39 @@ def _ideal_basis(row_lists: Iterable[list[dict[int, int]]], ncols: int) -> list[
     return list(pivot_rows(basis + pending)) if pending else basis
 
 
+def _by_power(gens: list[tuple[tuple[int, ...], int]], d: int) -> list[tuple[tuple[int, ...], int]]:
+    """The generators of exponent at most d, smallest exponent first."""
+    return sorted((g for g in gens if g[1] <= d), key=itemgetter(1))
+
+
 def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> int:
     """Dimension of the degree-d piece of an ideal of powers of linear forms.
 
     Generators are (coefficient vector, exponent) pairs, all in the same
-    number of variables; the value is the rank of all monomial multiples.
+    number of variables; the value is the rank of all monomial multiples,
+    read in the frame of the generators' own forms (see the module docstring).
     """
     check_ints("d", d)
     if not generators:
         return 0
     nvars = len(tuple(generators[0][0]))
-    midx = _monomials_exact(nvars, d)
-    return len(_ideal_basis(_multiple_rows(generators, d, midx, nvars), len(midx)))
+    gens = _checked_forms(generators, nvars)
+    cols = _ideal_frame((form for form, _ in _by_power(gens, d)), nvars)
+    framed = [(_in_frame(form, cols), power) for form, power in gens]
+    basis, kidx = _framed_basis(framed, d, _cover(framed, d, nvars))
+    return binom(d + nvars - 1, nvars - 1) - len(kidx) + len(basis)
 
 
-def _colon_system(ideals: Sequence, form: Sequence, e: int, d: int) -> tuple[int, list, list]:
-    """The colon oracles' set-up in degree d + e: the monomial count, one echelon
-    basis per ideal (every generator and the form checked before any elimination)
-    and the rows of form^e times each degree-d monomial."""
+def _colon_forms(ideals: Sequence, form: Sequence, e: int,
+                 d: int) -> tuple[int, list[list[tuple[tuple[int, ...], int]]], tuple[int, ...]]:
+    """The colon oracles' checks, e and d first, then every generator, then
+    the form: the variable count, each ideal's checked generators and the
+    form's primitive integer coefficients."""
     check_ints("e and d", e, d)
     check_ints("e", e, low=0)
     nvars = len(tuple(form))
-    midx = _monomials_exact(nvars, d + e)
-    ideal_rows = [_multiple_rows(gens, d + e, midx, nvars) for gens in ideals]
-    zrows = [row for rows in _multiple_rows([(form, e)], d + e, midx, nvars) for row in rows]
-    return len(midx), [_ideal_basis(rows, len(midx)) for rows in ideal_rows], zrows
+    checked = [_checked_forms(gens, nvars) for gens in ideals]
+    return nvars, checked, _int_linear_form(form)
 
 
 def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Sequence,
@@ -428,10 +557,18 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     """Dimension of the degree-d piece of the colon of the ideal by form^e.
 
     Computed as the kernel dimension of multiplication by form^e into the
-    quotient by the ideal, using ranks only.
+    quotient by the ideal, using ranks only, in the frame of the generators.
     """
-    ncols, (basis,), zrows = _colon_system([generators], form, e, d)
-    return len(zrows) - extend_rank(basis, zrows, ncols)
+    nvars, (gens,), z = _colon_forms([generators], form, e, d)
+    cols = _ideal_frame((g for g, _ in _by_power(gens, d + e)), nvars)
+    framed = [(_in_frame(g, cols), power) for g, power in gens]
+    caps = _cover(framed, d + e, nvars)
+    basis, kidx = _framed_basis(framed, d + e, caps)
+    # a multiplier at or past a cap gives a row that is covered throughout
+    (zterms,) = _power(_in_frame(z, cols), (e,))
+    items = zterms.items()
+    zrows = [row for mono in _monomials_exact(nvars, d, caps) if (row := _row(mono, items, kidx))]
+    return binom(d + nvars - 1, nvars - 1) - extend_rank(basis, zrows, len(kidx))
 
 
 def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple[Sequence, int]],
@@ -439,15 +576,27 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     """Degree-d dimensions of two colon ideals and of their intersection.
 
     The intersection comes from the rank of the map sending f to the pair of
-    classes of f*form^e in the two quotients, stacked side by side.
+    classes of f*form^e in the two quotients, stacked side by side.  The
+    frame takes each ideal's first generator, then the form, then the rest;
+    each quotient deletes its own ideal's covered columns.
     """
-    n_big, (b1, b2), zrows = _colon_system([gens1, gens2], form, e, d)
+    nvars, (g1, g2), z = _colon_forms([gens1, gens2], form, e, d)
+    c1, c2 = _by_power(g1, d + e), _by_power(g2, d + e)
+    cands = c1[:1] + c2[:1] + [(z, e)] + sorted(c1[1:] + c2[1:], key=itemgetter(1))
+    cols = _ideal_frame((g for g, _ in cands), nvars)
+    f1, f2 = ([(_in_frame(g, cols), power) for g, power in gens] for gens in (g1, g2))
+    (b1, k1), (b2, k2) = (_framed_basis(f, d + e, _cover(f, d + e, nvars)) for f in (f1, f2))
+    (zterms,) = _power(_in_frame(z, cols), (e,))
+    items = zterms.items()
+    monos = _monomials_exact(nvars, d)
+    z1, z2 = ([_row(mono, items, kidx) for mono in monos] for kidx in (k1, k2))
     # the second quotient's columns sit past the first's, so b1 and b2 stay independent
-    both = b1 + [{n_big + k: v for k, v in row.items()} for row in b2]
-    paired = [row | {n_big + k: v for k, v in row.items()} for row in zrows]
-    n = len(zrows)
-    return (n - extend_rank(b1, zrows, n_big), n - extend_rank(b2, zrows, n_big),
-            n - extend_rank(both, paired, 2 * n_big))
+    n1 = len(k1)
+    both = b1 + [{n1 + k: v for k, v in row.items()} for row in b2]
+    paired = [r1 | {n1 + k: v for k, v in r2.items()} for r1, r2 in zip(z1, z2)]
+    n = len(monos)
+    return (n - extend_rank(b1, z1, n1), n - extend_rank(b2, z2, len(k2)),
+            n - extend_rank(both, paired, n1 + len(k2)))
 
 
 def _validated_slopes(values: Sequence, what: str) -> list[Fraction]:

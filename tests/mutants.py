@@ -106,6 +106,17 @@ MUTANTS = [
     ("power-base-case", "oracle.py",
      "(c := head ** n)", "(c := head)",
      ["tests/test_oracle.py::test_power_expands_form"]),
+    # the ideal oracles' frame and covered columns
+    ("ideal-frame-disabled", "oracle.py",
+     "    for form in chain(candidates, units):\n", "    for form in units:\n",
+     ["tests/test_oracle.py::test_ideal_frame_contract"]),
+    # a generator x_k^a covers exponents above a, not from a on
+    ("ideal-cover-off-by-one", "oracle.py",
+     "[c - 1 for c in caps]", "list(caps)",
+     ["tests/test_oracle.py::test_ideal_oracles_match_full_elimination_pins"]),
+    ("ideal-pair-shared-cover", "oracle.py",
+     "_cover(f, d + e, nvars)) for f in (f1, f2)", "_cover(f1, d + e, nvars)) for f in (f1, f2)",
+     ["tests/test_oracle.py::test_ideal_oracles_match_full_elimination_pins"]),
 ]
 
 

@@ -7,7 +7,6 @@ monomial basis, with no shared code path to the formulas being checked.
 import random
 import re
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
 from math import gcd, lcm, prod
 
 import pytest
@@ -27,6 +26,7 @@ from splinedim.power_ideal import (
 
 import conftest
 from conftest import affine_images, mesh_data, one_tie_stars
+import ideal_referee as ref
 from spline_referee import referee_dim_spline
 
 
@@ -372,7 +372,6 @@ def test_conformality_rows_meet_the_conditions(tri, rd, seed):
                                                    for eq in system])
 
 
-_MIDX2 = orc._monomials_exact(2, 2)
 _PAIR = ([((1, 0, 1), 2)], [((0, 1, 1), 2)], (0, 0, 1))
 # x and y (and z) fill every degree from 1 on, so an oracle could stop before the last generator
 _FULL2 = [((1, 0), 1), ((0, 1), 1)]
@@ -399,9 +398,9 @@ _ZERO = ValueError("zero linear form")
                  id="colon-negative-d-zero-form"),
     pytest.param(lambda: orc.colon_pair_dims([((0, 0, 0), 2)], [((0, 1, 1), 2)], (0, 0, 1), 1, -1),
                  ValueError, id="pair-negative-d-zero-form"),
-    pytest.param(lambda: orc._multiple_rows([((1, 0, 0), 1)], 2, _MIDX2, 2), ValueError,
+    pytest.param(lambda: orc.hilbert_colon_oracle([((1, 0, 0), 1)], (1, 0), 1, 2), _ARITY,
                  id="rows-arity-mismatch"),
-    pytest.param(lambda: orc._multiple_rows([((1, 0), -1)], 2, _MIDX2, 2), ValueError,
+    pytest.param(lambda: orc.hilbert_ideal_oracle([((1, 0), -1)], 2), _NEG,
                  id="rows-negative-exponent"),
     # bool and float degrees are refused as dim() refuses them
     pytest.param(lambda: orc.dim_spline_oracle(tg.load_bundled("figure2"), True, False),
@@ -488,19 +487,19 @@ def test_hilbert_ideal_oracle_rejects_zero_form(power):
         orc.hilbert_ideal_oracle([((0, 0), power)], 3)
 
 
-def _monomials_referee(nvars, d):
-    """Exponent tuples of degree d from sorted combinations, largest first."""
-    return sorted((tuple(bars.count(v) for v in range(nvars))
-                   for bars in combinations_with_replacement(range(nvars), d)), reverse=True)
-
-
 @pytest.mark.parametrize("nvars", range(5))
 def test_monomials_exact_descending_lex(nvars):
+    caps_bank = [list(range(1, nvars + 1)), [3] * nvars, [0] + [9] * (nvars - 1)][:3 if nvars else 0]
     for d in range(-3, 14):
         midx = orc._monomials_exact(nvars, d)
         # no monomial has a negative degree, in any number of variables
-        assert list(midx) == (_monomials_referee(nvars, d) if d >= 0 else [])
+        assert list(midx) == ref.monomials(nvars, d)
         assert list(midx.values()) == list(range(len(midx)))
+        # caps keep the monomials whose k-th exponent is below caps[k], renumbered
+        for caps in caps_bank:
+            kept = orc._monomials_exact(nvars, d, caps)
+            assert list(kept) == [m for m in midx if all(a < c for a, c in zip(m, caps))]
+            assert list(kept.values()) == list(range(len(kept)))
 
 
 def test_hilbert_ideal_oracle_rejects_zero_form_in_no_variables():
@@ -582,16 +581,29 @@ def _forms(nvars):
         lambda c: any(x != 0 for x in c)).map(tuple)
 
 
-def _rows(gens, d, nvars):
-    """Every generator's multiples in degree d, in one list."""
-    midx = orc._monomials_exact(nvars, d)
-    return [row for rows in orc._multiple_rows(gens, d, midx, nvars) for row in rows]
-
-
 def _colon_referee(ideal_rows, zrows):
     """Kernel dimension of zrows modulo the span of ideal_rows, every row eliminated."""
     basis = list(pivot_rows(ideal_rows))
     return len(zrows) - (rank_sparse(basis + zrows) - len(basis))
+
+
+def _match_full_elimination(gens1, gens2, form, e, d):
+    """All three ideal oracles against the unframed rows of the ideal referee."""
+    nvars = len(form)
+    assert orc.hilbert_ideal_oracle(gens1, d) == rank_sparse(ref.multiple_rows(gens1, d, nvars))
+    rows1, rows2 = (ref.multiple_rows(gens, d + e, nvars) for gens in (gens1, gens2))
+    zrows = ref.multiple_rows([(form, e)], d + e, nvars)
+    dim1 = _colon_referee(rows1, zrows)
+    assert orc.hilbert_colon_oracle(gens1, form, e, d) == dim1
+    n = len(ref.monomials(nvars, d + e))
+
+    def shift(row):
+        return {n + k: v for k, v in row.items()}
+
+    both = _colon_referee(rows1 + [shift(row) for row in rows2],
+                          [row | shift(row) for row in zrows])
+    assert orc.colon_pair_dims(gens1, gens2, form, e, d) == \
+        (dim1, _colon_referee(rows2, zrows), both)
 
 
 @settings(deadline=None)
@@ -604,20 +616,113 @@ def test_ideal_oracles_match_full_elimination(data):
     form = data.draw(_forms(nvars))
     e = data.draw(st.integers(0, 4))
     d = data.draw(st.integers(-2, 12 if nvars == 2 else 7))
-    assert orc.hilbert_ideal_oracle(gens1, d) == rank_sparse(_rows(gens1, d, nvars))
-    rows1, rows2 = _rows(gens1, d + e, nvars), _rows(gens2, d + e, nvars)
-    zrows = _rows([(form, e)], d + e, nvars)
-    dim1 = _colon_referee(rows1, zrows)
-    assert orc.hilbert_colon_oracle(gens1, form, e, d) == dim1
-    n = len(orc._monomials_exact(nvars, d + e))
+    _match_full_elimination(gens1, gens2, form, e, d)
 
-    def shift(row):
-        return {n + k: v for k, v in row.items()}
 
-    both = _colon_referee(rows1 + [shift(row) for row in rows2],
-                          [row | shift(row) for row in zrows])
-    assert orc.colon_pair_dims(gens1, gens2, form, e, d) == \
-        (dim1, _colon_referee(rows2, zrows), both)
+_Y3 = [((0, 1, 2), 2), ((0, 1, -1), 3)]
+
+
+@pytest.mark.parametrize("gens1, gens2, form, e, d", [
+    # two independent generators cover every column from degree a1 + a2 - 1 on
+    pytest.param([((1, 2), 2), ((3, -1), 3)], [((1, 1), 2)], (1, 5), 1, 6, id="covered-fill-all"),
+    pytest.param([((1, 2), 2), ((3, -1), 3)], [((1, 1), 2)], (1, 5), 2, 2, id="covered-fill-all-colon"),
+    # forms on one line through the origin, and three forms in one plane
+    pytest.param([((1, 2), 2), ((2, 4), 3), ((-1, -2), 1)], [((1, 2), 4)], (1, 0), 2, 3,
+                 id="one-line-2"),
+    pytest.param([((1, 0, 1), 2), ((0, 1, 1), 2), ((1, 1, 2), 1)], _Y3, (1, -1, 0), 1, 3,
+                 id="one-plane-3"),
+    pytest.param([((1, 1), 3), ((1, 1), 3), ((1, -1), 2), ((1, -1), 4)], [((1, -1), 3)] * 2,
+                 (2, 1), 2, 4, id="repeated-generator"),
+    pytest.param([((1, 2), 0), ((1, 1), 3)], [((1, -1), 0)], (1, 3), 2, 3, id="exponent-0"),
+    pytest.param([((1, 3), 3), ((2, -1), 0)], [((2, 1), 2)], (1, 1), 0, 2,
+                 id="exponent-0-second"),
+    # a coordinate generator past the degree covers nothing
+    pytest.param([((1, 0), 9), ((1, 1), 2)], [((0, 1), 7), ((1, -1), 3)], (0, 1), 1, 4,
+                 id="coordinate-past-degree"),
+    pytest.param([((0, 0, 1), 8), ((1, 1, 0), 2), ((1, 0, 2), 3)], _Y3, (0, 0, 1), 2, 3,
+                 id="coordinate-past-degree-3"),
+    pytest.param([((3,), 2)], [((-2,), 4)], (5,), 1, 3, id="one-variable"),
+    pytest.param([(("1/2",), 0)], [((7,), 9)], ("-3",), 4, 2, id="one-variable-exponent-0"),
+    # the colon form is a generator's form, or a scaled copy of it
+    pytest.param([((1, 2), 3), ((1, -1), 2)], [((1, 2), 2)], (1, 2), 2, 4, id="colon-by-generator"),
+    pytest.param([((1, 0, 1), 2), ((0, 1, 1), 3)], [((0, 1, 1), 2)], (0, -2, -2), 1, 3,
+                 id="colon-by-generator-3"),
+])
+def test_ideal_oracles_match_full_elimination_pins(gens1, gens2, form, e, d):
+    _match_full_elimination(gens1, gens2, form, e, d)
+
+
+def _matrices(nvars):
+    return st.lists(st.lists(_COEFF, min_size=nvars, max_size=nvars),
+                    min_size=nvars, max_size=nvars).filter(
+        lambda m: _det_fraction([[F(c) for c in row] for row in m]) != 0)
+
+
+def _det_fraction(m):
+    """Determinant by expansion along the first row, exact on Fractions."""
+    if not m:
+        return 1
+    return sum((-1) ** j * c * _det_fraction([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, c in enumerate(m[0]) if c)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_ideal_oracles_invariant_under_coordinate_change(data):
+    # x = M y maps every form c to c M; an automorphism keeps all three answers
+    nvars = data.draw(st.sampled_from([2, 3]))
+    m = [[F(c) for c in row] for row in data.draw(_matrices(nvars))]
+
+    def moved(coeffs):
+        return tuple(sum(F(c) * m[i][j] for i, c in enumerate(coeffs)) for j in range(nvars))
+
+    gens1, gens2 = (data.draw(st.lists(st.tuples(_forms(nvars), st.integers(0, 5)),
+                                       min_size=1, max_size=4)) for _ in range(2))
+    form = data.draw(_forms(nvars))
+    e = data.draw(st.integers(0, 4))
+    d = data.draw(st.integers(0, 10 if nvars == 2 else 6))
+    new1, new2 = ([(moved(c), a) for c, a in gens] for gens in (gens1, gens2))
+    assert orc.hilbert_ideal_oracle(new1, d) == orc.hilbert_ideal_oracle(gens1, d)
+    assert orc.hilbert_colon_oracle(new1, moved(form), e, d) == \
+        orc.hilbert_colon_oracle(gens1, form, e, d)
+    assert orc.colon_pair_dims(new1, new2, moved(form), e, d) == \
+        orc.colon_pair_dims(gens1, gens2, form, e, d)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_ideal_frame_contract(data):
+    # the frame is the first independent candidates, then coordinate vectors;
+    # the k-th of them reads +-x_k in it, every other form c reads c F^-1 scaled
+    nvars = data.draw(st.sampled_from([1, 2, 3]))
+    cands = [orc._int_linear_form(c) for c in data.draw(st.lists(_forms(nvars), max_size=5))]
+    units = [tuple(int(i == k) for i in range(nvars)) for k in range(nvars)]
+    frame = []
+    for c in cands + units:
+        if len(frame) < nvars and rank_sparse([dict(enumerate(row)) for row in frame + [c]]) > len(frame):
+            frame.append(c)
+    cols = orc._ideal_frame(cands, nvars)
+    for k, row in enumerate(frame):
+        assert [abs(x) for x in orc._in_frame(row, cols)] == list(units[k])
+    for c in cands + units:
+        w = orc._in_frame(c, cols)
+        back = [sum(wk * row[j] for wk, row in zip(w, frame)) for j in range(nvars)]
+        assert gcd(*w) == 1 and any(back)
+        assert all(back[i] * c[j] == back[j] * c[i] for i in range(nvars) for j in range(nvars))
+    # in two variables with two independent generators of exponents a1 and a2
+    # (a1 the first chosen), only X'^i Y'^(d-i) with d - a2 < i < a1 is kept
+    if nvars == 2 and len(cands) >= 2:
+        powers = data.draw(st.lists(st.integers(0, 6), min_size=len(cands), max_size=len(cands)))
+        d = data.draw(st.integers(0, 12))
+        gens = sorted(((c, a) for c, a in zip(cands, powers) if a <= d), key=lambda g: g[1])
+        a2 = next((a for c, a in gens[1:]
+                   if rank_sparse([dict(enumerate(gens[0][0])), dict(enumerate(c))]) == 2), None)
+        if a2 is not None:
+            a1 = gens[0][1]
+            cols = orc._ideal_frame([c for c, _ in gens], 2)
+            framed = [(orc._in_frame(c, cols), a) for c, a in zip(cands, powers)]
+            _, kidx = orc._framed_basis(framed, d, orc._cover(framed, d, 2))
+            assert list(kidx) == [(i, d - i) for i in range(d, -1, -1) if d - a2 < i < a1]
 
 
 # ----------------------------------------------------- homology oracle
