@@ -49,11 +49,12 @@ nullity.  So each interior vertex with a spoke and at most one tie reads both
 in the monomials of a frame (X', Y') = (l_s, l_t).  l_s is the form of its
 first spoke whose slope is not the tie's; l_t is the tie's form, or at a
 vertex with no tie that of a spoke with another slope.  A vertex with two or
-more ties, or with no spoke, keeps (X, Y).  Every form is mapped into the
-frame and made primitive; a spoke's scale is free, its cofactor absorbs it.
-A spoke whose form is one frame variable, as l_s's own is, has a one-term
-l^(r+1) = X'^(r+1) (or Y'^(r+1)), so each of its columns has exactly one
-entry.  Those spokes come first in their (home, degree) group.
+more ties, or with no spoke, keeps (X, Y).  Every form c is mapped into
+the frame F as c adj(F), the ideal oracles' adjugate below, and made
+primitive; a spoke's scale is free, its cofactor absorbs it.  A spoke whose
+form is one frame variable, as l_s's own is, has a one-term l^(r+1) =
+X'^(r+1) (or Y'^(r+1)), so each of its columns has exactly one entry.
+Those spokes come first in their (home, degree) group.
 
 A column with one nonzero entry can be deleted together with that entry's
 row: subtracting multiples of the column clears the rest of the row, which
@@ -71,11 +72,20 @@ columns col0 + k - a + j for the exponents j of l^(r+1) with a - k <= j <= a,
 the first of which is col0 + k - a whenever a <= k.  Once m >= 2r + 1, that is
 k >= r, every kept row has a <= k, and the r + 1 rows of the block lead at
 r + 1 distinct columns of the first spoke with q != 0 (a spoke parallel to s
-has no entry left in them): the sweep of pivot_rows takes each as a pivot
-with nothing to eliminate.  Only the blocks with m <= 2r, whose rows with
-a > k can share a lead, still eliminate.  In ascending x a spoke with p and
-q both nonzero would lead every row at col0, through its term with j = a.
-Vertices that keep (X, Y) list x ascending, so their rows are as they were.
+has no entry left in them).  Every framed vertex has such a spoke: were all
+its spokes but s parallel to s, its edges would lie in a closed half-plane,
+and build() rejects such a fan.  A spoke is in its home's conditions only,
+so no other row meets those columns.  With the block's rows and those
+columns first the system reads [A B; 0 C], A of full row rank r + 1, so its
+rank is (r + 1) + rank(C), and in C the block's other spoke columns are
+zero.  So such a block is counted, not built: neither its rows, whether a
+spoke or a tie's home or far end writes them, nor its spokes' degree-k
+columns are made, and it adds its spoke columns less r + 1 to the nullity.
+The ties' columns stay, for the rows of C.  Only the blocks with m <= 2r,
+whose rows with a > k can share a lead, are built at a framed vertex and
+eliminated.  In ascending x a spoke with p and q both nonzero would lead
+every row at col0, through its term with j = a.  Vertices that keep (X, Y)
+list x ascending and build every block, so their rows are as they were.
 
 Both ends of a tie must see the same l_tie and the same cofactor.  At a
 framed end Y' = l_t is the tie's form itself, and at an unframed one the
@@ -90,16 +100,23 @@ map is block-triangular by degree.  The tie's degree-k columns are scaled by
 D^k at both ends, D the common denominator of the map, so that column (k, x)
 reads (D X'_u)^x (D Y'_u)^(k-x), a product of powers of two integer affine
 forms at v.  A framed far end reads the tie as Y', one term, and keeps only
-the products' terms whose X'-exponent is at most r.
+the products' terms whose X'-exponent is at most r and whose degree is
+below r; so it expands the two forms only to that degree.
+
+The frames, the framed forms, sigma, the spokes' order and each tie's map
+depend on the mesh alone, not on d or r.  They are computed once per mesh
+and kept while it lives (_mesh_frames).
 
 Columns run over the spokes grouped by (home, degree), then over the ties by
-(tie, degree), then over the chords, so the ascending sweep of pivot_rows
-eliminates each (vertex, degree) block on its own and only the tie columns
-couple blocks.  Each row has a fixed slot, by vertex, degree and monomial.
-At a cofactor's home each term of l_tau^(r+1) is one store into a slot; only
-at a tie's far end can terms add up (and cancel).  There _power expands
-each of the two affine forms once for every exponent up to d - r - 1, and
-it expands the forms' tails once for all of those exponents.
+(tie, degree), then over the free columns that no row meets: the chords',
+and each counted block's spoke columns less r + 1.  So the ascending sweep
+of pivot_rows eliminates each (vertex, degree) block on its own and only the
+tie columns couple blocks.  Each row has a fixed slot, by vertex, degree and
+monomial.  At a cofactor's home each term of l_tau^(r+1) is one store into a
+slot; only at a tie's far end can terms add up (and cancel).  There each of
+the two affine forms L + c is expanded once for every exponent x up to
+d - r - 1, as the sum of comb(x, e) c^(x-e) L^e over the degrees e the far
+end builds, and _power expands L once for all of those e.
 
 The ideal oracles take the rank of the degree-D multiples of generators
 g^a, g a linear form, in the monomials of degree D.  An invertible linear
@@ -142,6 +159,7 @@ from itertools import accumulate, chain, islice, repeat
 from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
+from weakref import WeakKeyDictionary
 
 from . import triangulation as tg
 from .exact import binom, check_ints, extend_rank, kernel_dim_sparse, parse_rational, pivot_rows
@@ -225,14 +243,27 @@ def _power(form: Sequence[int], exponents: Sequence[int]) -> list[dict[tuple[int
     return powers
 
 
+def _affine_powers(form: Sequence[int], n: int, cap: int) -> list[list[tuple[int, int, int]]]:
+    """The terms of degree below cap of (p X + q Y + c)^x, form (p, q, c),
+    for each x up to n, as (X exponent, degree, coefficient) in ascending X
+    exponent, then degree.
+
+    (L + c)^x holds comb(x, e) c^(x-e) L^e, so only L = p X + q Y is
+    expanded, and only to the powers below cap.
+    """
+    *lin, c = form
+    low = _power(lin, range(min(n + 1, cap)))
+    powers = []
+    for x in range(n + 1):
+        terms = []
+        for e in range(min(x, cap - 1) + 1):
+            if ce := comb(x, e) * c ** (x - e):
+                terms += [(a, e, ce * v) for (a, _), v in low[e].items()]
+        powers.append(sorted(terms))
+    return powers
+
+
 Frame = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _to_frame(p: int, q: int, frame: Frame) -> tuple[int, int]:
-    """det(frame) times the coefficients of the form p X + q Y in the frame's
-    forms (X', Y'): the row (p, q) times the frame's adjugate."""
-    (a, b), (c, d) = frame
-    return p * d - q * c, q * a - p * b
 
 
 def _frame(tri: tg.Triangulation, v: int, ties: set[int]) -> tuple[Frame, int | None]:
@@ -259,61 +290,91 @@ def _frame(tri: tg.Triangulation, v: int, ties: set[int]) -> tuple[Frame, int | 
     return ((sign * ls.dy, -sign * ls.dx), (t.dy, -t.dx)), s
 
 
+# One entry per live mesh: a Triangulation is frozen and hashed by identity,
+# and its entry goes when it does.
+_MESH_FRAMES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _mesh_frames(tri: tg.Triangulation) -> tuple[dict, dict, dict, dict]:
+    """What the conformality rows read of the mesh alone, not of d or r,
+    computed once per mesh: free, at, spokes and shift.
+
+    free[v] is interior vertex v's spoke s, or None where v keeps (X, Y) (see
+    _frame).  at[v] lists (edge, sigma, form) for each edge at v but s, form
+    its primitive form in v's frame.  spokes[v] is v's spokes but s in column
+    order: those whose form is one frame variable first, then the others, in
+    edges_at order.  shift[i] is tie i's (den, first form, second form): at
+    its far end v each of its home frame's forms is an integer affine form in
+    v's frame over den.
+    """
+    known = _MESH_FRAMES.get(tri)
+    if known is not None:
+        return known
+    edges, verts, ties = tri.edges, tri.vertices, set(tri.ties)
+    frames, adjs, free, at, spokes = {}, {}, {}, {}, {}
+    for v in tri.interior_vertices:
+        frames[v], free[v] = _frame(tri, v, ties)
+        adjs[v] = adj = _adjugate(frames[v])
+        at[v] = []
+        for i in tri.edges_at[v]:
+            if i != free[v]:
+                e = edges[i]
+                t0, t1, t2 = tri.triangles[e.triangles[0]]
+                sign = -1 if (v, e.u + e.v - v) in ((t0, t1), (t1, t2), (t2, t0)) else 1
+                at[v].append((i, sign, _in_frame((e.slope.dy, -e.slope.dx), adj)))
+        spokes[v] = [i for i, _, form in sorted(at[v], key=lambda t: 0 not in t[2]) if i not in ties]
+    shift = {}
+    for i in tri.ties:
+        e = edges[i]
+        fu, fv, adj = frames[e.u], frames[e.v], adjs[e.v]
+        w = [q - p for p, q in zip(verts[e.u], verts[e.v])]
+        lat = lcm(*(c.denominator for c in w))
+        wx, wy = (c.numerator * (lat // c.denominator) for c in w)
+        det = _det(fv)
+        # at v the home form (a, b) reads (a, b) F_v^-1 X' + a w_x + b w_y, that
+        # is ((a, b) adj(F_v) lat, (a wx + b wy) det) over det lat
+        nums = [(*(sum(map(mul, (a, b), col)) * lat for col in adj), (a * wx + b * wy) * det)
+                for a, b in fu]
+        g = gcd(det * lat, *nums[0], *nums[1])
+        shift[i] = (det * lat // g, *(tuple(c // g for c in m) for m in nums))
+    _MESH_FRAMES[tri] = known = free, at, spokes, shift
+    return known
+
+
 def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict[int, int]], int]:
     """Integer rows of the conformality conditions, and their column count.
 
     Each interior vertex reads its conditions, and its spokes their
     cofactors, in the monomials of its frame (X', Y') centred at it (see
     _frame); a tie's cofactor is read in its home's.  A framed vertex's spoke
-    s and the rows it alone pivots are left out.  The columns are the
-    coefficients of every other interior edge's cofactor at the monomials of
-    degree k <= d - r - 1, in this order: spokes grouped by (home, degree), in
-    each group first those whose form is one frame variable, then the others,
-    in edges_at order, each with column (k, x) at X'^x Y'^(k-x) in descending
-    x; then ties one at a time in index order, each by degree, with (k, x) in
-    ascending x; then chords, whose columns no row touches.  There is one row
-    per interior vertex v, degree m and monomial X'^a Y'^(m-a) of v's frame,
-    with a <= r at a framed v, unless it has no entry; no entry is zero.
+    s and the rows it alone pivots are left out, and so is each of its
+    blocks of degree k >= r, which is counted instead.  The built columns
+    are the coefficients of every other interior edge's cofactor at the
+    monomials of degree k <= d - r - 1, in this order: spokes grouped by
+    (home, degree), at a framed home only for k < r, in each group first
+    those whose form is one frame variable, then the others, in edges_at
+    order, each with column (k, x) at X'^x Y'^(k-x) in descending x; then
+    ties one at a time in index order, each by degree, with (k, x) in
+    ascending x.  The columns past them are in no row: the chords', and
+    for each counted block its spokes' columns less r + 1.  There is one
+    row per interior vertex v, degree m and monomial X'^a Y'^(m-a) of v's
+    frame, with a <= r and m <= 2r at a framed v, unless it has no entry;
+    no entry is zero.
     """
     n = d - r - 1
     if n < 0:
         return [], 0
-    edges, verts, ties = tri.edges, tri.vertices, set(tri.ties)
-    # free[v] is the spoke s of a framed vertex v, whose columns would be free pivots
-    frames, free = {}, {}
-    for v in tri.interior_vertices:
-        frames[v], free[v] = _frame(tri, v, ties)
-    # the terms of l^(r+1) for each edge at each interior endpoint, l its
-    # primitive form in that endpoint's frame; spokes with one term come first
-    powers, spokes = {}, {}
-    for v, frame in frames.items():
-        for i in tri.edges_at[v]:
-            p, q = _to_frame(edges[i].slope.dy, -edges[i].slope.dx, frame)
-            g = gcd(p, q)
-            powers[i, v] = _binomial(r + 1, p // g, q // g)
-        spokes[v] = sorted((i for i in tri.edges_at[v] if i not in ties and i != free[v]),
-                           key=lambda i: len(powers[i, v]) > 1)
-    # a tie's columns are scaled by den^k so that, at its far end v, each of
-    # its home frame's forms is an integer affine form in v's frame over den
-    shift = {}
-    for i in tri.ties:
-        e = edges[i]
-        fu, fv = frames[e.u], frames[e.v]
-        w = [q - p for p, q in zip(verts[e.u], verts[e.v])]
-        lat = lcm(*(c.denominator for c in w))
-        wx, wy = (c.numerator * (lat // c.denominator) for c in w)
-        det = fv[0][0] * fv[1][1] - fv[0][1] * fv[1][0]
-        # at v the home form (a, b) reads (a, b) F_v^-1 X' + a w_x + b w_y, that
-        # is ((a, b) adj(F_v) lat, (a wx + b wy) det) over det lat
-        nums = [(*(c * lat for c in _to_frame(a, b, fv)), (a * wx + b * wy) * det) for a, b in fu]
-        g = gcd(det * lat, *nums[0], *nums[1])
-        shift[i] = (det * lat // g, *(tuple(c // g for c in m) for m in nums))
-    # the powers of each far-end form up to n, as (X' exponent, degree,
-    # coefficient) for each term in ascending X' exponent
-    expanded = {form: [[(a, a + b, c) for (a, b, _), c in reversed(p.items())]
-                       for p in _power(form, range(n + 1))]
-                for form in {form for _, *maps in shift.values() for form in maps}}
-    keys = [(i, k) for v in frames for k in range(n + 1) for i in spokes[v]]
+    edges = tri.edges
+    free, at, spokes, shift = _mesh_frames(tri)
+    # v builds its blocks of degree k < blocks[v]; a framed vertex counts
+    # those of degree k >= cut instead
+    cut = min(r, n + 1)
+    blocks = {v: n + 1 if s is None else cut for v, s in free.items()}
+    # the powers up to n of each tie's two forms at its far end, but their
+    # terms of the degrees the far end does not build
+    far = {(form, blocks[edges[i].v]) for i, (_, *maps) in shift.items() for form in maps}
+    expanded = {(form, cap): _affine_powers(form, n, cap) for form, cap in far}
+    keys = [(i, k) for v in free for k in range(blocks[v]) for i in spokes[v]]
     keys += [(i, k) for i in tri.ties for k in range(n + 1)]
     base = dict(zip(keys, accumulate((k + 1 for _, k in keys), initial=0)))
 
@@ -322,25 +383,21 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     full = list(accumulate(range(r + 2, d + 2), initial=0))
     short = list(range(0, (n + 2) * (r + 1), r + 1))
     slots, nrows = {}, 0
-    for v in frames:
+    for v in free:
         off, top = (full, d) if free[v] is None else (short, r)
         slots[v] = nrows, off, top
-        nrows += off[-1]
+        nrows += off[blocks[v]]
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     for v, (vbase, off, top) in slots.items():
-        for i in tri.edges_at[v]:
-            if i == free[v]:
-                continue
-            e = edges[i]
-            t0, t1, t2 = tri.triangles[e.triangles[0]]
-            sign = -1 if (v, e.u + e.v - v) in ((t0, t1), (t1, t2), (t2, t0)) else 1
+        kmax = blocks[v]
+        for i, sign, (p, q) in at[v]:
             den, *maps = shift.get(i, (1,))
-            power = [(j, sign * c) for j, c in powers[i, v]]
-            if v != e.v or i not in shift:
+            power = [(j, sign * c) for j, c in _binomial(r + 1, p, q)]
+            if v != edges[i].v or i not in shift:
                 # at home, column (k, x) reads den^k X'^x Y'^(k-x): one term in
                 # each row x + j up to top; a framed vertex's spokes run x downwards
                 down = free[v] is not None and i not in shift
-                for k in range(n + 1):
+                for k in range(kmax):
                     mbase, col0, scale = vbase + off[k], base[i, k], den ** k
                     cols = range(col0 + k, col0 - 1, -1) if down else range(col0, col0 + k + 1)
                     for j, c in power:
@@ -350,26 +407,30 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
                 continue
             # at the far end it reads the x-th power of the first form times the
             # (k-x)-th of the second, whose terms can cancel; a framed far end
-            # reads the tie as Y', so there j is 0 and a + b must not pass top
-            px, qy = expanded[maps[0]], expanded[maps[1]]
-            for k in range(n + 1):
-                for x in range(k + 1):
-                    col = base[i, k] + x
+            # reads the tie as Y', so there j is 0 and a + b must not pass top,
+            # and it builds no row of degree kmax or more
+            px, qy = expanded[maps[0], kmax], expanded[maps[1], kmax]
+            for y, qterms in enumerate(qy):
+                for x in range(n + 1 - y) if qterms else ():
+                    col = base[i, x + y] + x
                     acc: dict[int, int] = {}
                     for a, ma, ca in px[x]:
-                        for b, mb, cb in qy[k - x]:
+                        for b, mb, cb in qterms:
                             if a + b > top:
                                 break
-                            slot, cab = vbase + off[ma + mb] + a + b, ca * cb
-                            for j, c in power:
-                                acc[slot + j] = acc.get(slot + j, 0) + cab * c
+                            if ma + mb < kmax:
+                                slot, cab = vbase + off[ma + mb] + a + b, ca * cb
+                                for j, c in power:
+                                    acc[slot + j] = acc.get(slot + j, 0) + cab * c
                     for slot, c in acc.items():
                         if c:
                             rows[slot][col] = c
     # a disk has T + V_i - 1 interior edges (Euler); each has binom(n + 2, 2)
-    # columns, the chords' last, except each framed vertex's spoke s
-    nfree = sum(s is not None for s in free.values())
-    ncols = (len(tri.triangles) + len(frames) - 1 - nfree) * comb(n + 2, 2)
+    # columns, the chords' last, except each framed vertex's spoke s; each
+    # counted block takes r + 1, its rank, off its spokes' columns
+    nframed = sum(s is not None for s in free.values())
+    ncols = ((len(tri.triangles) + len(free) - 1 - nframed) * comb(n + 2, 2)
+             - nframed * (n + 1 - cut) * (r + 1))
     return [row for row in rows if row], ncols
 
 
@@ -380,7 +441,8 @@ def dim_spline_oracle(tri: tg.Triangulation, d: int, r: int, allow_large: bool =
     conformality conditions, as the module docstring explains.  Their
     columns hold every interior edge's cofactor: spokes by (home, degree),
     then ties one at a time in index order, then chords, which are in no
-    condition; a framed vertex's spoke s has none (see _conformality_rows).
+    condition; a framed vertex's spoke s has none, and its blocks of degree
+    k >= r are counted, not built (see _conformality_rows).
     The guardrail counts the unknowns of a direct assembly instead: a
     polynomial per triangle and a multiplier per interior edge, of which a
     disk has T + V_i - 1 (Euler).
@@ -422,12 +484,7 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
 
 def _ideal_frame(candidates: Iterable[tuple[int, ...]], nvars: int) -> list[list[int]]:
     """The columns of adj(F), F the frame whose rows are the first linearly
-    independent candidate forms, completed by coordinate vectors in order.
-
-    Column j is (-1)^(i+j) times the minor of F without row j and column i,
-    for each i; a form's coefficient row c reads c adj(F) = det(F) c F^-1 in
-    the frame, and the frame's k-th form reads det(F) x_k.
-    """
+    independent candidate forms, completed by coordinate vectors in order."""
     units = ((0,) * k + (1,) + (0,) * (nvars - 1 - k) for k in range(nvars))
     frame: list[tuple[int, ...]] = []
     # each pivot row is zero at the pivot columns found before it
@@ -444,8 +501,19 @@ def _ideal_frame(candidates: Iterable[tuple[int, ...]], nvars: int) -> list[list
             frame.append(form)
             if len(frame) == nvars:
                 break
+    return _adjugate(frame)
+
+
+def _adjugate(frame: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The columns of adj(F), F the square integer matrix whose rows are frame.
+
+    Column j is (-1)^(i+j) times the minor of F without row j and column i,
+    for each i; a form's coefficient row c reads c adj(F) = det(F) c F^-1 in
+    the frame, and the frame's k-th form reads det(F) x_k.
+    """
+    n = len(frame)
     return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(frame) if k != j])
-             for i in range(nvars)] for j in range(nvars)]
+             for i in range(n)] for j in range(n)]
 
 
 def _in_frame(form: tuple[int, ...], cols: list[list[int]]) -> tuple[int, ...]:
@@ -560,6 +628,9 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     quotient by the ideal, using ranks only, in the frame of the generators.
     """
     nvars, (gens,), z = _colon_forms([generators], form, e, d)
+    # no monomial has a negative degree; every argument is checked all the same
+    if d < 0:
+        return 0
     cols = _ideal_frame((g for g, _ in _by_power(gens, d + e)), nvars)
     framed = [(_in_frame(g, cols), power) for g, power in gens]
     caps = _cover(framed, d + e, nvars)
@@ -581,6 +652,9 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     each quotient deletes its own ideal's covered columns.
     """
     nvars, (g1, g2), z = _colon_forms([gens1, gens2], form, e, d)
+    # no monomial has a negative degree; every argument is checked all the same
+    if d < 0:
+        return 0, 0, 0
     c1, c2 = _by_power(g1, d + e), _by_power(g2, d + e)
     cands = c1[:1] + c2[:1] + [(z, e)] + sorted(c1[1:] + c2[1:], key=itemgetter(1))
     cols = _ideal_frame((g for g, _ in cands), nvars)

@@ -77,8 +77,18 @@ MUTANTS = [
      "    if not spokes or len(mine) > 1:\n", "    if True:\n",
      ["tests/test_oracle.py::test_conformality_rows_contract"]),
     ("chord-columns-dropped", "oracle.py",
-     "(len(tri.triangles) + len(frames) - 1 - nfree) * comb(n + 2, 2)",
+     "(len(tri.triangles) + len(free) - 1 - nframed) * comb(n + 2, 2)",
      "sum(k + 1 for _, k in keys)",
+     ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
+    # the counted blocks: each has rank r + 1, and they start at degree k = r
+    ("counted-block-rank-r", "oracle.py",
+     "nframed * (n + 1 - cut) * (r + 1))", "nframed * (n + 1 - cut) * r)",
+     ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
+    ("counted-from-r-plus-1", "oracle.py",
+     "cut = min(r, n + 1)", "cut = min(r + 1, n + 1)",
+     ["tests/test_oracle.py::test_conformality_rows_contract"]),
+    ("counted-from-r-minus-1", "oracle.py",
+     "cut = min(r, n + 1)", "cut = max(0, min(r - 1, n + 1))",
      ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
     ("free-pivot-rows-kept", "oracle.py",
      "(t.dy, -t.dx)), s\n", "(t.dy, -t.dx)), None\n",

@@ -4,8 +4,10 @@ Every function here recomputes a dimension by exact linear algebra on a
 monomial basis, with no shared code path to the formulas being checked.
 """
 
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction as F
 from math import gcd, lcm, prod
 
@@ -135,6 +137,17 @@ def test_oracle_pins_tie_by_tie_column_order():
         dm.dim(grid, 12, 3).total == 4140
 
 
+def test_mesh_frames_keep_no_mesh_alive():
+    # the per-mesh frames are kept only while the mesh lives
+    tri = tg.build(*conftest.one_tie_star())
+    assert orc.dim_spline_oracle(tri, 5, 1) == referee_dim_spline(tri, 5, 1)
+    assert tri in orc._MESH_FRAMES
+    ref = weakref.ref(tri)
+    del tri
+    gc.collect()
+    assert ref() is None
+
+
 # ------------------------------------------- spline oracle against the referee
 
 _FIG2, _TOH = tg.load_bundled("figure2"), tg.load_bundled("tohaneanu")
@@ -172,7 +185,9 @@ _R_AND_D = st.integers(0, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers
 # r = 0; polynomials only (d <= r); chords, whose cofactors are free; two and five ties;
 # a tie cycle in special position, and its rational image; frames: a spoke parallel to
 # the tie, framed ends meeting a two-tie vertex (as drawn and as a rational image), a
-# vertex with no tie, and a far-end map with a denominator
+# vertex with no tie, and a far-end map with a denominator; counted blocks (d >= 2r + 1)
+# at both ends of a tie, at a vertex with no tie and beside a spoke parallel to the tie,
+# and at r = 0, where every block of a framed vertex is counted
 @example(tg.build(*conftest.grid_data(2, 2)), (0, 4))
 @example(_FIG2, (3, 3))
 @example(_SQUARE_PAIR, (1, 6))
@@ -186,6 +201,11 @@ _R_AND_D = st.integers(0, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers
 @example(tg.affine_transform(_STRIP, *_RATIONAL_MAP), (1, 5))
 @example(conftest.glue_quad(_FIG2, 2, 10), (2, 7))
 @example(_STAR_IMAGE, (2, 7))
+@example(_FIG2, (2, 7))
+@example(tg.affine_transform(_TOH, *_RATIONAL_MAP), (1, 5))
+@example(conftest.glue_quad(_TOH, 3, 4), (1, 6))
+@example(conftest.slope_collision_star(), (1, 6))
+@example(_FIG2, (0, 3))
 def test_spline_oracle_matches_referee(tri, rd):
     r, d = rd
     assert orc.dim_spline_oracle(tri, d, r, allow_large=True) == referee_dim_spline(tri, d, r)
@@ -223,17 +243,26 @@ def _in_frame(slope, frame):
     return int(p * scale), int(q * scale)
 
 
+def _counted(frames, v, k, r):
+    """Whether the block of vertex v and cofactor degree k is counted, not
+    built: at a framed vertex, from k = r on."""
+    return frames[v][1] is not None and k >= r
+
+
 def _layout(tri, d, r):
     """Each interior vertex's frame and spoke s, and each column's (edge, home,
     k, x): the coefficient of X'^x Y'^(k-x) in its home's frame.  Spokes by
-    (home, degree), those with a one-variable form first, x descending at a
-    framed home; then ties by (tie, degree), x ascending; chords follow."""
+    (home, degree) but in counted blocks, those with a one-variable form
+    first, x descending at a framed home; then ties by (tie, degree), x
+    ascending; the free columns follow."""
     frames = {v: _frame_at(tri, v) for v in tri.interior_vertices}
     cols = []
     for v, (frame, s) in frames.items():
         spokes = sorted((i for i in tri.edges_at[v] if i not in tri.ties and i != s),
                         key=lambda i: 0 not in _in_frame(tri.edges[i].slope, frame))
         for k in range(d - r):
+            if _counted(frames, v, k, r):
+                break
             xs = range(k, -1, -1) if s is not None else range(k + 1)
             cols += [(i, v, k, x) for i in spokes for x in xs]
     cols += [(i, tri.edges[i].u, k, x) for i in tri.ties for k in range(d - r) for x in range(k + 1)]
@@ -247,16 +276,21 @@ def _layout(tri, d, r):
 @example(conftest.cross_cut_square(), (2, 3))
 # no spoke is parallel to an axis, so only the frames give one-entry columns
 @example(tg.affine_transform(_FIG2, *_RATIONAL_MAP), (2, 6))
-# framed blocks with m >= 2r + 1 at every vertex kind: a tie's ends, no tie,
-# a spoke parallel to the tie; and vertices with two or more ties
+# counted blocks (m >= 2r + 1) at every framed vertex kind: a tie's ends, no
+# tie, a spoke parallel to the tie, every block at r = 0; and vertices with two
+# or more ties, which count none
 @example(_FIG2, (2, 8))
 @example(conftest.glue_quad(_FIG2, 2, 10), (1, 6))
 @example(conftest.slope_collision_star(), (1, 5))
+@example(_TOH, (0, 3))
 @example(tg.build(*conftest.grid_data(3, 3)), (1, 6))
 def test_conformality_rows_contract(tri, rd):
     # no zero entry and no empty row (the tracer counts entries as nnz), columns
-    # in range, one cofactor per interior edge but each framed vertex's spoke s,
-    # at most r + 1 rows per framed (vertex, degree m) and m + 1 per other one
+    # in range, one cofactor per interior edge but each framed vertex's spoke s;
+    # a framed vertex's blocks of degree k >= r have no rows and no spoke
+    # columns, only their spoke columns less r + 1 as free columns in no row;
+    # at most r + 1 rows per other framed (vertex, degree m) and m + 1 per
+    # unframed one
     r, d = rd
     rows, ncols = orc._conformality_rows(tri, d, r)
     if d <= r:
@@ -265,28 +299,37 @@ def test_conformality_rows_contract(tri, rd):
     assert all(0 <= c < ncols for row in rows for c in row)
     frames, cols = _layout(tri, d, r)
     framed = {v for v, (_, s) in frames.items() if s is not None}
-    assert ncols == (len(tri.interior_edges()) - len(framed)) * binom(d - r + 1, 2)
-    assert len(rows) <= sum(r + 1 if v in framed else m + 1
-                            for v in tri.interior_vertices for m in range(r + 1, d + 1))
-    # chords' columns are last and in no row
+    assert ncols == ((len(tri.interior_edges()) - len(framed)) * binom(d - r + 1, 2)
+                     - len(framed) * (r + 1) * max(0, d - 2 * r))
+    bound = {v: sum(0 if _counted(frames, v, m - r - 1, r) else r + 1 if v in framed else m + 1
+                    for m in range(r + 1, d + 1)) for v in tri.interior_vertices}
+    assert len(rows) <= sum(bound.values())
+    # the built columns are as _layout lists them; the free ones, the chords'
+    # and the counted blocks', are last and in no row
     assert all(c < len(cols) for row in rows for c in row)
-    # a row of vertex v and degree m meets the spokes of v in degree m - r - 1 only
+    # a row of vertex v and degree m meets the spokes of v in degree m - r - 1
+    # only; the rows that meet no spoke are counted below
     group = {c: (v, k) for c, (i, v, k, _) in enumerate(cols) if i not in tri.ties}
-    blocks = {}
+    blocks, tie_only = {}, 0
     for row in rows:
         keys = {group[c] for c in row if c in group}
         assert len(keys) <= 1
         if keys:
             blocks.setdefault(keys.pop(), []).append(row)
+        else:
+            tie_only += 1
     for (v, k), block in blocks.items():
+        assert not _counted(frames, v, k, r)
         assert len(block) <= (r + 1 if v in framed else k + r + 2)
-        # the sweep takes every row of a framed block with m >= 2r + 1 as a
-        # pivot with nothing to eliminate: its r + 1 rows lead at distinct
-        # spoke columns
-        if v in framed and k >= r:
-            leads = {min(row) for row in block}
-            assert len(block) == len(leads) == r + 1
-            assert leads <= group.keys()
+        # with a framed vertex's spoke columns in descending x, its rows with
+        # a <= k lead at k + 1 distinct columns of the first spoke with q != 0
+        if v in framed:
+            assert len({min(row) for row in block}) >= k + 1
+    # a framed vertex's built block always has a spoke with q != 0, which meets
+    # every row X'^a Y'^(m-a) with a <= k; so only rows with a > k, r - k of
+    # them per block, can lack a spoke column there
+    assert tie_only <= sum(bound[v] for v in tri.interior_vertices if v not in framed) + sum(
+        r - k for v in framed for k in range(min(r, d - r)))
 
 
 def _kernel_vector(rows, ncols, rng):
@@ -329,9 +372,10 @@ def test_conformality_rows_meet_the_conditions(tri, rd, seed):
     # frame coordinates to the home's.  A random kernel vector of the rows then
     # gives cofactors whose conditions sum_tau sigma_tau l_tau^(r+1) q_tau,
     # each l_tau primitive in the vertex's frame, vanish at every interior
-    # vertex once the dropped spoke s's cofactor is solved for: at random
-    # points the sum over the other edges is -sigma_s l_s^(r+1) times some
-    # polynomial of degree at most d - r - 1.
+    # vertex once the unknowns it does not build are solved for: the dropped
+    # spoke s's cofactor, and in each counted block the other spokes' degree-k
+    # parts.  At random points the sum over the built columns is then minus
+    # the sum over those spokes of sigma l^(r+1) times some polynomial.
     r, d = rd
     rng = random.Random(seed)
     rows, ncols = orc._conformality_rows(tri, d, r)
@@ -352,8 +396,12 @@ def test_conformality_rows_meet_the_conditions(tri, rd, seed):
     z = _kernel_vector(rows, ncols, rng)
     for v, (frame, s) in frames.items():
         pv = tri.vertices[v]
-        # unknowns: s's coefficients at X'^x Y'^(k-x), then the right-hand side
-        rhs = len(monomials) if s is not None else 0
+        # unknowns: the coefficients at X'^x Y'^(k-x) of s's cofactor and of the
+        # other spokes' in the counted blocks, then the right-hand side
+        unknowns = [(s, k, x) for k, x in monomials] if s is not None else []
+        unknowns += [(i, k, x) for i in tri.edges_at[v] if i not in tri.ties and i != s
+                     for k, x in monomials if _counted(frames, v, k, r)]
+        rhs = len(unknowns)
         system = []
         for _ in range(binom(d + 2, 2) + 3):
             point = (pv.x + rng.randint(-30, 30), pv.y + rng.randint(-30, 30))
@@ -363,7 +411,7 @@ def test_conformality_rows_meet_the_conditions(tri, rd, seed):
                    for i in tri.edges_at[v] for p, q in [_in_frame(tri.edges[i].slope, frame)]}
             total = sum(ell[i] * z[col] * scales.get(i, 1) ** k * coords[h][0] ** x * coords[h][1] ** (k - x)
                         for col, (i, h, k, x) in enumerate(cols) if i in ell)
-            row = [ell[s] * X ** x * Y ** (k - x) for k, x in monomials] if s is not None else []
+            row = [ell[i] * X ** x * Y ** (k - x) for i, k, x in unknowns]
             row.append(-total)
             den = lcm(*(c.denominator for c in map(F, row)))
             system.append({j: int(c * den) for j, c in enumerate(row) if c})
@@ -398,6 +446,10 @@ _ZERO = ValueError("zero linear form")
                  id="colon-negative-d-zero-form"),
     pytest.param(lambda: orc.colon_pair_dims([((0, 0, 0), 2)], [((0, 1, 1), 2)], (0, 0, 1), 1, -1),
                  ValueError, id="pair-negative-d-zero-form"),
+    pytest.param(lambda: orc.hilbert_colon_oracle([((1, 1), -1)], (1, 0), 1, -1), _NEG,
+                 id="colon-negative-d-negative-exponent"),
+    pytest.param(lambda: orc.colon_pair_dims(*_PAIR[:1], [((0, 1), 2)], (0, 0, 1), 1, -1), _ARITY,
+                 id="pair-negative-d-arity-mismatch"),
     pytest.param(lambda: orc.hilbert_colon_oracle([((1, 0, 0), 1)], (1, 0), 1, 2), _ARITY,
                  id="rows-arity-mismatch"),
     pytest.param(lambda: orc.hilbert_ideal_oracle([((1, 0), -1)], 2), _NEG,
