@@ -114,26 +114,37 @@ def pivot_rows(rows: Sequence[dict[int, int]]) -> Iterator[dict[int, int]]:
                     buckets.setdefault(min(new), []).append(new)
 
 
+def reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
+    """Reduce a copy of row into pivots, rows keyed by their distinct leading columns.
+
+    The copy, without its zero entries, is eliminated against the pivot of its
+    leading column (see _eliminate) until it is zero, and False is returned, or
+    leads where no pivot is; there it is stored as a pivot, and True is
+    returned.  Stored pivots never change, and row is not mutated.
+    """
+    row = {c: v for c, v in row.items() if v}
+    while row:
+        col = min(row)
+        if col not in pivots:
+            pivots[col] = row
+            return True
+        row = _eliminate(row, pivots[col], col)
+    return False
+
+
 def extend_rank(basis: Sequence[dict[int, int]], rows: Iterable[dict[int, int]],
                 ncols: int) -> int:
-    """rank(basis + rows) - len(basis) for an echelon basis, such as pivot_rows yields.
+    """rank(basis + rows) - len(basis), for any basis whose rows lead at
+    distinct columns, such as pivot_rows yields.
 
-    Each row is copied without its zero entries and eliminated against the
-    pivot of its leading column until it is zero or leads where no pivot is;
-    there it becomes a pivot itself.  Pivots never change, and no input row is
-    mutated.  Rows are read only until the pivots fill all ncols columns.
+    Each row is reduced into the basis (see reduce_row), so the pivots of the
+    basis never change and no input row is mutated.  Rows are read only until
+    the pivots fill all ncols columns.
     """
     pivots = {min(row): row for row in basis}
     if len(pivots) < ncols:
-        for r in rows:
-            row = {c: v for c, v in r.items() if v}
-            while row:
-                col = min(row)
-                if col not in pivots:
-                    pivots[col] = row
-                    break
-                row = _eliminate(row, pivots[col], col)
-            if len(pivots) == ncols:
+        for row in rows:
+            if reduce_row(row, pivots) and len(pivots) == ncols:
                 break
     return len(pivots) - len(basis)
 

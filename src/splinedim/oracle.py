@@ -113,7 +113,8 @@ and each counted block's spoke columns less r + 1.  So the ascending sweep
 of pivot_rows eliminates each (vertex, degree) block on its own and only the
 tie columns couple blocks.  Each row has a fixed slot, by vertex, degree and
 monomial.  At a cofactor's home each term of l_tau^(r+1) is one store into a
-slot; only at a tie's far end can terms add up (and cancel).  There each of
+slot, and l_tau^(r+1) is expanded once per call for each distinct framed
+form; only at a tie's far end can terms add up (and cancel).  There each of
 the two affine forms L + c is expanded once for every exponent x up to
 d - r - 1, as the sum of comb(x, e) c^(x-e) L^e over the degrees e the far
 end builds, and _power expands L once for all of those e.
@@ -125,7 +126,8 @@ Hilbert function of an ideal I, and it keeps dim (I : z^e)_d, which becomes
 dim (I' : z'^e)_d.  Scaling a form does not change the ideal.  So each call
 reads every form in a frame of its own: X'_k = F_k . x, where the rows of F
 are the first linearly independent candidate forms, completed by coordinate
-vectors.  A form with coefficient row c reads c F^-1 there, so the integer
+vectors; a candidate joins F when reduce_row finds it a new leading column.
+A form with coefficient row c reads c F^-1 there, so the integer
 row c adj(F) = det(F) c F^-1, made primitive, is its framed form.  The
 candidates are the generators of exponent at most D, smallest exponent
 first.  colon_pair_dims puts each ideal's first candidate first, then the
@@ -142,27 +144,32 @@ the other generators' rows read in the kept columns, the monomials whose
 exponent in each x_k is below cap_k, the least such a.  A multiplier at or
 past a cap gives a row that is covered throughout and is not built.  In two
 variables the frame takes two generators, of exponents a1 and a2, and only
-X'^i Y'^(D-i) with D - a2 < i < a1 is kept, often nothing.
+X'^i Y'^(D-i) with D - a2 < i < a1 is kept, often nothing.  _framed_basis
+reduces the other generators' rows into one basis as they are built, one at
+a time and with the same step as the frame (reduce_row): a row that reaches
+a free leading column is kept there as its pivot, and no row is built once
+the pivots fill the kept columns.
 
 A colon oracle counts the degree-d monomials, whose products with z^e are
 independent, less the rank of those products modulo I: rank(B + Z) -
-rank(B), B a basis of I_D and Z the z^e rows.  The covered span lies inside
-the span of B, so deleting the covered columns from B and from Z keeps that
-difference.  In colon_pair_dims each quotient deletes its own ideal's
-covered columns, and the second quotient's kept columns follow the first's.
+rank(B), B a basis of I_D and Z the z^e rows, which extend_rank reduces
+into B with that step.  The covered span lies inside the span of B, so
+deleting the covered columns from B and from Z keeps that difference.  In
+colon_pair_dims each quotient deletes its own ideal's covered columns, and
+the second quotient's kept columns follow the first's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
 from . import triangulation as tg
-from .exact import binom, check_ints, extend_rank, kernel_dim_sparse, parse_rational, pivot_rows
+from .exact import binom, check_ints, extend_rank, kernel_dim_sparse, parse_rational, reduce_row
 
 
 class OracleError(Exception):
@@ -374,6 +381,8 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     # terms of the degrees the far end does not build
     far = {(form, blocks[edges[i].v]) for i, (_, *maps) in shift.items() for form in maps}
     expanded = {(form, cap): _affine_powers(form, n, cap) for form, cap in far}
+    # l^(r+1) once for each distinct framed form
+    lifts = {form: _binomial(r + 1, *form) for form in {f for fan in at.values() for _, _, f in fan}}
     keys = [(i, k) for v in free for k in range(blocks[v]) for i in spokes[v]]
     keys += [(i, k) for i in tri.ties for k in range(n + 1)]
     base = dict(zip(keys, accumulate((k + 1 for _, k in keys), initial=0)))
@@ -390,9 +399,9 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     for v, (vbase, off, top) in slots.items():
         kmax = blocks[v]
-        for i, sign, (p, q) in at[v]:
+        for i, sign, form in at[v]:
             den, *maps = shift.get(i, (1,))
-            power = [(j, sign * c) for j, c in _binomial(r + 1, p, q)]
+            power = [(j, sign * c) for j, c in lifts[form]]
             if v != edges[i].v or i not in shift:
                 # at home, column (k, x) reads den^k X'^x Y'^(k-x): one term in
                 # each row x + j up to top; a framed vertex's spokes run x downwards
@@ -487,17 +496,9 @@ def _ideal_frame(candidates: Iterable[tuple[int, ...]], nvars: int) -> list[list
     independent candidate forms, completed by coordinate vectors in order."""
     units = ((0,) * k + (1,) + (0,) * (nvars - 1 - k) for k in range(nvars))
     frame: list[tuple[int, ...]] = []
-    # each pivot row is zero at the pivot columns found before it
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for form in chain(candidates, units):
-        red = form
-        for col, prow in pivots.items():
-            if c := red[col]:
-                p = prow[col]
-                red = [p * x - c * y for x, y in zip(red, prow)]
-        col = next((k for k, x in enumerate(red) if x), None)
-        if col is not None:
-            pivots[col] = red
+        if reduce_row(dict(enumerate(form)), pivots):
             frame.append(form)
             if len(frame) == nvars:
                 break
@@ -524,18 +525,6 @@ def _in_frame(form: tuple[int, ...], cols: list[list[int]]) -> tuple[int, ...]:
     return tuple(x // g for x in c)
 
 
-def _cover(framed: Sequence[tuple[tuple[int, ...], int]], d: int, nvars: int) -> list[int]:
-    """caps[k]: the least exponent a of a generator whose framed form is x_k
-    alone, whose degree-d multiples are the monomials with x_k-exponent at
-    least a; d + 1 where there is none."""
-    caps = [d + 1] * nvars
-    for form, power in framed:
-        support = [k for k, c in enumerate(form) if c]
-        if len(support) == 1:
-            caps[support[0]] = min(caps[support[0]], power)
-    return caps
-
-
 def _row(mono: tuple[int, ...], terms: Iterable[tuple[tuple[int, ...], int]],
          kidx: dict[tuple[int, ...], int]) -> dict[int, int]:
     """The product of a monomial and a power's terms, read in the kept
@@ -543,46 +532,43 @@ def _row(mono: tuple[int, ...], terms: Iterable[tuple[tuple[int, ...], int]],
     return {c: pc for pm, pc in terms if (c := kidx.get(tuple(map(add, mono, pm)))) is not None}
 
 
-def _framed_basis(framed: Sequence[tuple[tuple[int, ...], int]], d: int,
-                  caps: list[int]) -> tuple[list[dict[int, int]], dict[tuple[int, ...], int]]:
-    """Echelon basis of the degree-d piece of a framed ideal, its covered
-    columns deleted, and the kept columns: the monomials below caps.
+def _framed_basis(gens: Sequence[tuple[tuple[int, ...], int]], cols: list[list[int]],
+                  d: int) -> tuple[list[dict[int, int]], dict[tuple[int, ...], int], list[int]]:
+    """A basis of the degree-d piece of the ideal, its rows leading at
+    distinct kept columns, with the kept columns and the caps.
 
-    Generators whose form is one variable are covered and build no rows; the
-    others build one row per multiplier below caps, read in the kept columns.
+    Every generator is read in the frame whose adjugate's columns are cols.
+    caps[k] is the least exponent a of a generator whose framed form is x_k
+    alone, whose degree-d multiples are the monomials with x_k-exponent at
+    least a; d + 1 where there is none.  The kept columns are the monomials
+    below caps.  Every other generator of exponent at most d builds one row
+    per multiplier below caps, read in the kept columns, and the rows are
+    reduced into the basis one at a time until it fills them.
     """
-    nvars = len(caps)
+    nvars = len(cols)
+    caps = [d + 1] * nvars
+    rest = []
+    for g, power in gens:
+        form = _in_frame(g, cols)
+        support = [k for k, c in enumerate(form) if c]
+        if len(support) == 1:
+            caps[support[0]] = min(caps[support[0]], power)
+        elif power <= d:
+            rest.append((form, power))
     kidx = _monomials_exact(nvars, d, caps)
-
-    def row_lists() -> Iterator[list[dict[int, int]]]:
-        mults: dict[int, dict[tuple[int, ...], int]] = {}
-        for form, power in framed:
-            if power <= d and form.count(0) < nvars - 1:
-                if power not in mults:
-                    mults[power] = _monomials_exact(nvars, d - power, caps)
-                (terms,) = _power(form, (power,))
-                items = terms.items()
-                yield [row for mono in mults[power] if (row := _row(mono, items, kidx))]
-    return (_ideal_basis(row_lists(), len(kidx)) if kidx else []), kidx
-
-
-def _ideal_basis(row_lists: Iterable[list[dict[int, int]]], ncols: int) -> list[dict[int, int]]:
-    """Echelon basis of the span of the rows, read one list at a time.
-
-    Rows are swept (with whatever basis is already found) only once there are
-    enough of them to fill all ncols columns, and no further list is read once
-    the basis fills them.
-    """
-    basis: list[dict[int, int]] = []
-    pending: list[dict[int, int]] = []
-    for rows in row_lists:
-        pending += rows
-        if len(basis) + len(pending) >= ncols:
-            basis = list(islice(pivot_rows(basis + pending), ncols))
-            pending = []
-            if len(basis) == ncols:
-                return basis
-    return list(pivot_rows(basis + pending)) if pending else basis
+    pivots: dict[int, dict[int, int]] = {}
+    mults: dict[int, dict[tuple[int, ...], int]] = {}
+    for form, power in rest:
+        if len(pivots) == len(kidx):
+            break
+        if power not in mults:
+            mults[power] = _monomials_exact(nvars, d - power, caps)
+        (terms,) = _power(form, (power,))
+        items = terms.items()
+        for mono in mults[power]:
+            if reduce_row(_row(mono, items, kidx), pivots) and len(pivots) == len(kidx):
+                break
+    return list(pivots.values()), kidx, caps
 
 
 def _by_power(gens: list[tuple[tuple[int, ...], int]], d: int) -> list[tuple[tuple[int, ...], int]]:
@@ -603,8 +589,7 @@ def hilbert_ideal_oracle(generators: Sequence[tuple[Sequence, int]], d: int) -> 
     nvars = len(tuple(generators[0][0]))
     gens = _checked_forms(generators, nvars)
     cols = _ideal_frame((form for form, _ in _by_power(gens, d)), nvars)
-    framed = [(_in_frame(form, cols), power) for form, power in gens]
-    basis, kidx = _framed_basis(framed, d, _cover(framed, d, nvars))
+    basis, kidx, _ = _framed_basis(gens, cols, d)
     return binom(d + nvars - 1, nvars - 1) - len(kidx) + len(basis)
 
 
@@ -632,9 +617,7 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     if d < 0:
         return 0
     cols = _ideal_frame((g for g, _ in _by_power(gens, d + e)), nvars)
-    framed = [(_in_frame(g, cols), power) for g, power in gens]
-    caps = _cover(framed, d + e, nvars)
-    basis, kidx = _framed_basis(framed, d + e, caps)
+    basis, kidx, caps = _framed_basis(gens, cols, d + e)
     # a multiplier at or past a cap gives a row that is covered throughout
     (zterms,) = _power(_in_frame(z, cols), (e,))
     items = zterms.items()
@@ -658,8 +641,7 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     c1, c2 = _by_power(g1, d + e), _by_power(g2, d + e)
     cands = c1[:1] + c2[:1] + [(z, e)] + sorted(c1[1:] + c2[1:], key=itemgetter(1))
     cols = _ideal_frame((g for g, _ in cands), nvars)
-    f1, f2 = ([(_in_frame(g, cols), power) for g, power in gens] for gens in (g1, g2))
-    (b1, k1), (b2, k2) = (_framed_basis(f, d + e, _cover(f, d + e, nvars)) for f in (f1, f2))
+    (b1, k1, _), (b2, k2, _) = (_framed_basis(gens, cols, d + e) for gens in (g1, g2))
     (zterms,) = _power(_in_frame(z, cols), (e,))
     items = zterms.items()
     monos = _monomials_exact(nvars, d)

@@ -1,6 +1,7 @@
 """Shared fixtures: bundled meshes, a few tiny hand-built ones, one-tie stars and
 rational affine images."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -164,6 +165,64 @@ def one_tie_stars(draw):
     """one_tie_star at up to six parameters in [-9/10, 9/10]."""
     return one_tie_star(draw(st.sets(st.fractions(F(-9, 10), F(9, 10), max_denominator=12),
                                      max_size=6)))
+
+
+# Rays from the tie's left endpoint (-1, 0) that point away from the tie, one
+# entry per choice of rays on a slope: none has the tie's slope 0 or an apex
+# edge's slope 1 or -1, and the vertical slope takes either ray or both.
+_SPOKE_LINES = [((0, 1),), ((0, -1),), ((0, 1), (0, -1)), ((-1, 3),), ((-1, 2),), ((-2, 1),),
+                ((-3, 1),), ((-3, -1),), ((-2, -1),), ((-1, -2),), ((-1, -3),)]
+# rays on the apex edges' lines, which add a spoke and no slope
+_APEX_RAYS = [(-1, -1), (-1, 1)]
+
+
+def _angle(ray):
+    return math.atan2(ray[1], ray[0]) % (2 * math.pi)
+
+
+def tie_star(left, right):
+    """Two interior vertices (-1, 0) and (1, 0) joined by the one totally
+    interior edge, both joined to the apexes (0, 1) and (0, -1), and fanned
+    to v + k (dx, dy) for each (dx, dy, k) in left, at (-1, 0), and to
+    v + k (-dx, dy) for each in right, at (1, 0).
+
+    Every ray must point away from the tie (dx <= 0), and with the apex
+    edges the rays of each end must leave no gap of 180 degrees or more.
+    """
+    verts = [(-1, 0), (1, 0), (0, 1), (0, -1)]
+    tris = [(0, 1, 2), (0, 1, 3)]
+    for v, mirror, fan in ((0, 1, left), (1, -1, right)):
+        ring = [2]
+        for dx, dy, k in sorted(fan, key=_angle):
+            verts.append((verts[v][0] + mirror * k * dx, k * dy))
+            ring.append(len(verts) - 1)
+        ring.append(3)
+        tris += [(v, a, b) for a, b in zip(ring, ring[1:])]
+    return verts, tris
+
+
+@st.composite
+def tie_stars_to_order(draw):
+    """A tie_star with s slopes at one end and t at the other besides the
+    tie's, for s and t drawn from 2..4, and the sorted pair (s, t).
+
+    No spoke lies on the tie's line, so no slope collides with the tie's and
+    the tie's chain stops at both of its ends: the star is not quasi-cross-cut.
+    """
+    def fan(slopes):
+        lines = draw(st.lists(st.sampled_from(_SPOKE_LINES), min_size=slopes - 2, max_size=slopes - 2,
+                              unique_by=lambda line: F(line[0][1], line[0][0]) if line[0][0] else None))
+        rays = [ray for line in lines for ray in line]
+        rays += draw(st.lists(st.sampled_from(_APEX_RAYS), unique=True))
+        # from the edge to (0, 1) round to the edge to (0, -1), counterclockwise;
+        # both apex rays leave no gap of 180 degrees
+        ring = [(1, 1)] + sorted(rays, key=_angle) + [(1, -1)]
+        if any(a[0] * b[1] - a[1] * b[0] <= 0 for a, b in zip(ring, ring[1:])):
+            rays += [ray for ray in _APEX_RAYS if ray not in rays]
+        return [(dx, dy, draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)]))) for dx, dy in rays]
+
+    s, t = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    return (min(s, t), max(s, t)), tie_star(fan(s), fan(t))
 
 
 def grid_data(n, m):

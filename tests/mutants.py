@@ -32,6 +32,10 @@ MUTANTS = [
     ("pivot-rows-yields-non-pivot", "exact.py",
      "        yield prow\n", "        yield bucket[-1]\n",
      ["tests/test_exact.py::test_pivot_rows_are_an_echelon_basis"]),
+    # the one elimination step of extend_rank and the ideal oracles
+    ("reduce-row-pivot-dropped", "exact.py",
+     "            pivots[col] = row\n            return True\n", "            return True\n",
+     ["tests/test_exact.py::test_extend_rank_counts_the_new_pivots"]),
     # the quasi-cross-cut walk
     ("walk-always-true", "triangulation.py",
      "        if not reached:\n            return False\n",
@@ -124,8 +128,12 @@ MUTANTS = [
     ("ideal-cover-off-by-one", "oracle.py",
      "[c - 1 for c in caps]", "list(caps)",
      ["tests/test_oracle.py::test_ideal_oracles_match_full_elimination_pins"]),
+    # the second quotient built from both ideals' generators, so with the first's cover too
     ("ideal-pair-shared-cover", "oracle.py",
-     "_cover(f, d + e, nvars)) for f in (f1, f2)", "_cover(f1, d + e, nvars)) for f in (f1, f2)",
+     "for gens in (g1, g2))", "for gens in (g1, g1 + g2))",
+     ["tests/test_oracle.py::test_ideal_oracles_match_full_elimination_pins"]),
+    ("ideal-cover-not-least", "oracle.py",
+     "caps[support[0]] = min(caps[support[0]], power)", "caps[support[0]] = power",
      ["tests/test_oracle.py::test_ideal_oracles_match_full_elimination_pins"]),
 ]
 

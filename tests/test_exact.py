@@ -15,6 +15,7 @@ from splinedim.exact import (
     parse_rational,
     pivot_rows,
     rank_sparse,
+    reduce_row,
 )
 
 
@@ -282,22 +283,36 @@ _dense_pair = st.integers(1, 8).flatmap(
 @given(_dense_pair)
 def test_extend_rank_counts_the_new_pivots(case):
     base, extra, nc = case
-    basis = list(pivot_rows([dict(enumerate(row)) for row in base]))
+    base_rows = [dict(enumerate(row)) for row in base]
     rows = [dict(enumerate(row)) for row in extra]
-    before = ([dict(row) for row in basis], [dict(row) for row in rows])
-    read = []
+    before = ([dict(row) for row in base_rows], [dict(row) for row in rows])
+    # reduce_row grows a basis one row at a time: it stores a pivot at the
+    # row's new leading column exactly when the rank grows, and never changes
+    # a stored one
+    pivots = {}
+    for k, row in enumerate(base_rows):
+        stored = {col: dict(prow) for col, prow in pivots.items()}
+        grew = rank_sparse(base_rows[:k + 1]) > rank_sparse(base_rows[:k])
+        assert reduce_row(row, pivots) == grew
+        assert len(pivots) == len(stored) + grew
+        assert {col: pivots[col] for col in stored} == stored
+        assert all(min(prow) == col and all(prow.values()) for col, prow in pivots.items())
+    for basis in (list(pivot_rows(base_rows)), list(pivots.values())):
+        read = []
 
-    def feed():
-        for row in rows:
-            read.append(row)
-            yield row
+        def feed():
+            for row in rows:
+                read.append(row)
+                yield row
 
-    assert extend_rank(basis, feed(), nc) == rank_sparse(basis + rows) - len(basis)
-    # rows are read until the basis and the rows read so far fill every column, and no further
-    full = next((k for k in range(len(rows) + 1) if rank_sparse(basis + rows[:k]) == nc),
-                len(rows))
-    assert len(read) == full
-    assert (basis, rows) == before
+        kept = [dict(row) for row in basis]
+        assert extend_rank(basis, feed(), nc) == rank_sparse(basis + rows) - len(basis)
+        # rows are read until the basis and the rows read so far fill every column, and no further
+        full = next((k for k in range(len(rows) + 1) if rank_sparse(basis + rows[:k]) == nc),
+                    len(rows))
+        assert len(read) == full
+        assert basis == kept
+    assert (base_rows, rows) == before
 
 
 @pytest.mark.parametrize("call, error", [

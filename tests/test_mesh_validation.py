@@ -25,7 +25,7 @@ from splinedim import triangulation as tg
 from splinedim.power_ideal import TiePair, homology_dim
 
 import conftest
-from conftest import affine_images, mesh_data, one_tie_stars
+from conftest import affine_images, mesh_data, one_tie_stars, tie_stars_to_order
 from mesh_referee import _orient as referee_orient, referee_quasi_cross_cut, referee_validate
 
 
@@ -274,15 +274,23 @@ ONE_TIE_BASES = [_FIG2, _TOH, conftest.glue_quad(_FIG2, 2, 10), conftest.glue_qu
 
 @st.composite
 def oracle_meshes(draw):
-    """A mesh paired with the bundled mesh it is an image of, or with None.
+    """A mesh paired with what its classification must match, or with None.
 
-    Either a one-tie star or its affine image, quasi-cross-cut through the
-    slope collision at the tie, or a rational affine image of a bundled
-    one-tie mesh, with or without a glued interior vertex.
+    One of:
+    - a one-tie star built to order and its sorted slope counts (s, t),
+      which it must classify with, as one-tie or trivial-case;
+    - a star of one_tie_stars or its affine image, with None: its circle
+      holds (+-1, 0), on the tie's line, so it is quasi-cross-cut through
+      the slope collision at the tie;
+    - a rational affine image of a bundled one-tie mesh, with or without a
+      glued interior vertex, with that bundled mesh.
     """
-    base = draw(st.one_of(st.none(), st.sampled_from(ONE_TIE_BASES)))
+    base = draw(st.one_of(st.none(), st.just("to order"), st.sampled_from(ONE_TIE_BASES)))
     if base is None:
         return None, tg.build(*draw(st.one_of(one_tie_stars(), affine_images(one_tie_stars()))))
+    if base == "to order":
+        counts, mesh = draw(tie_stars_to_order())
+        return counts, tg.build(*mesh)
     return base, tg.build(*draw(affine_images(st.just(mesh_data(base)))))
 
 
@@ -303,7 +311,10 @@ def test_dim_auto_matches_spline_oracle_on_generated_meshes(mesh, rd):
     base, tri = mesh
     r, d = rd
     assert dm.dim(tri, d, r).total == orc.dim_spline_oracle(tri, d, r)
-    if base is not None:
+    if isinstance(base, tuple):
+        kind, _, params = dm.classify(tri, r)
+        assert kind in ("one-tie", "trivial-case") and (params.s, params.t) == base
+    elif base is not None:
         assert _tie_summary(tri, r) == _tie_summary(base, r)
 
 

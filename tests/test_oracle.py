@@ -772,8 +772,7 @@ def test_ideal_frame_contract(data):
         if a2 is not None:
             a1 = gens[0][1]
             cols = orc._ideal_frame([c for c, _ in gens], 2)
-            framed = [(orc._in_frame(c, cols), a) for c, a in zip(cands, powers)]
-            _, kidx = orc._framed_basis(framed, d, orc._cover(framed, d, 2))
+            _, kidx, _ = orc._framed_basis(list(zip(cands, powers)), cols, d)
             assert list(kidx) == [(i, d - i) for i in range(d, -1, -1) if d - a2 < i < a1]
 
 
