@@ -20,12 +20,13 @@ from .power_ideal import TiePair, congruence_case, homology_regularity, supersmo
 
 def _load(path: str) -> tg.Triangulation:
     p = Path(path)
-    if p.exists():
+    try:
         return tg.load_mesh(p)
-    # bare names, with no directory part, fall back to the meshes shipped
-    # with the package
-    if p.name == path and path.removesuffix(".mesh") + ".mesh" in tg.bundled_mesh_names():
-        return tg.load_bundled(path)
+    except (FileNotFoundError, NotADirectoryError):
+        # bare names, with no directory part, fall back to the meshes
+        # shipped with the package
+        if p.name == path and path.removesuffix(".mesh") + ".mesh" in tg.bundled_mesh_names():
+            return tg.load_bundled(path)
     raise FileNotFoundError(f"no such mesh file: {path}")
 
 

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
-
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def check_ints(names: str, *values: object, low: int | None = None) -> None:
@@ -34,6 +31,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     """Parse an int or a "num/den" string into a Fraction.
 
     Floats are rejected outright; every quantity in this package is exact.
+    A string, once stripped of surrounding whitespace, must be an optional
+    "-", ASCII digits, and optionally "/" and more ASCII digits.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
@@ -42,14 +41,17 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        num, slash, den = value.strip().partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        # str.isdigit alone would take non-ASCII digits, which int() reads
+        if not (digits.isascii() and digits.isdigit()
+                and (not slash or den.isascii() and den.isdigit())):
             raise ValueError(f"malformed rational literal: {value!r}")
-        num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
+        if slash:
+            q = int(den)
+            if q == 0:
                 raise ValueError(f"zero denominator: {value!r}")
-            return Fraction(int(num), int(den))
+            return Fraction(int(num), q)
         return Fraction(int(num))
     raise ValueError(f"not a rational: {value!r}")
 

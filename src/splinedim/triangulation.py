@@ -12,8 +12,12 @@ of each interior edge on opposite sides of it, one fan winding once
 around each interior vertex, and a boundary that is one simple cycle,
 found by sweeping the boundary segments by x.  All predicates run on
 integers, after scaling the vertices by the lcm of their denominators.
-Together they certify a disk, so no other check is needed.  build()'s
-docstring gives the check order, each check's exception and the proof.
+Together they certify a disk, so no other check is needed.  One pass over
+the triangles orients them, counts the fan turns and fills a map from
+each edge to its triangles; one walk of that map finds the boundary and
+tests the interior edges, and one loop over its sorted keys lists the
+edges.  build()'s docstring gives the passes, the check order, each
+check's exception and the proof.
 """
 
 from __future__ import annotations
@@ -209,25 +213,6 @@ def _check_simple_boundary(lat: list[tuple[int, int]], keys: list[tuple[int, int
         active.append((a, b, i, j))
 
 
-def _check_fans(lat: list[tuple[int, int]], tris: list[tuple[int, int, int]],
-                on_boundary: set[int]) -> None:
-    """The triangles around each vertex on no boundary edge wind once around it.
-
-    Every edge at such a vertex v borders two triangles on opposite sides,
-    so the wedges a -> b of the counterclockwise triangles (v, a, b) chain
-    into closed cycles, each winding a positive number of times.  A wedge
-    turns across the ray +x from v exactly when a_y <= v_y < b_y, so one
-    such wedge in all means one cycle winding once.
-    """
-    turns = [0] * len(lat)
-    for a, b, c in tris:
-        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
-            turns[v] += lat[x][1] <= lat[v][1] < lat[y][1]
-    for v, n in enumerate(turns):
-        if n != 1 and v not in on_boundary:
-            raise EdgeCrossing(f"the triangles at vertex {v} wind {n} times around it")
-
-
 def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> Triangulation:
     """Assemble and validate a triangulation from raw vertex and triangle data.
 
@@ -257,6 +242,30 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
        segment, EdgeCrossing when two segments cross properly.
     7. DisconnectedOrHoley: a boundary vertex with other than two
        boundary edges, or more than one boundary cycle.
+
+    The checks take three passes.  One pass over the triangles, in input
+    order, runs check 2 and the repeated-triangle part of check 3 on each
+    triangle as it comes, so a fault in triangle k is named before any
+    fault of a later one.  The same pass orients each triangle, records
+    its three edges in a map from edge to incident triangles, and counts
+    the fan turns of its corners.  One walk of the edge map, in order of
+    first appearance, runs the rest of check 3 and collects the boundary
+    edges.  Checks 4-7 follow; one loop over the sorted edges then lists
+    the edges, the edges at each vertex and the ties.
+
+    A counterclockwise triangle runs along each of its edges with its
+    third vertex on the left.  So its two triangles lie on opposite sides
+    of an edge exactly when they run along it in opposite directions, and
+    the edge map records each incidence as its triangle's index k when
+    the triangle runs from the smaller endpoint to the larger, ~k
+    otherwise.  Incidences arrive in ascending triangle order.
+
+    The fan check is a count.  Every edge at a vertex v on no boundary
+    edge borders two triangles on opposite sides, so the wedges a -> b of
+    the counterclockwise triangles (v, a, b) chain into closed cycles,
+    each winding a positive number of times.  A wedge turns across the
+    ray +x from v exactly when a_y <= v_y < b_y, so one such wedge in all
+    means one cycle winding once.
 
     Checks 1-4, 6 and 7 certify an embedded disk.  Every triangle is
     positively oriented and the two triangles of each interior edge
@@ -291,67 +300,79 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
                 raise MeshFormatError(str(exc) if isinstance(c, str) else
                                       f"vertex {i} has a non-rational coordinate {c!r}") from None
         pts.append(Point2(*xy))
+    n = len(pts)
     tris: list[tuple[int, int, int]] = []
     for k, raw in enumerate(triangles):
-        if (not isinstance(raw, (list, tuple)) or len(raw) != 3
-                or any(not isinstance(i, int) or isinstance(i, bool) for i in raw)):
+        if not isinstance(raw, (list, tuple)) or len(raw) != 3 or (
+                not type(raw[0]) is type(raw[1]) is type(raw[2]) is int
+                and any(not isinstance(i, int) or isinstance(i, bool) for i in raw)):
             raise MeshFormatError(f"triangle {k} must be an [i, j, k] index triple")
-        if any(i < 0 or i >= len(pts) for i in raw):
+        a, b, c = raw
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             raise MeshFormatError(f"triangle {k} references a missing vertex")
-        tris.append(tuple(raw))
-    if len(pts) < 3:
+        tris.append((a, b, c))
+    if n < 3:
         raise ValueError("need at least 3 vertices")
 
     scale = math.lcm(*(c.denominator for p in pts for c in p))
-    lat = [(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
-           for p in pts]
+    if scale == 1:
+        lat = [(x.numerator, y.numerator) for x, y in pts]
+    else:
+        lat = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+               for x, y in pts]
 
-    seen_pts: dict[tuple[int, int], int] = {}
-    for i, p in enumerate(lat):
-        j = seen_pts.setdefault(p, i)
-        if j != i:
-            raise DuplicateVertex(f"vertices {j} and {i} coincide at {pts[i]}")
+    if len(set(lat)) != n:
+        seen_pts: dict[tuple[int, int], int] = {}
+        for i, p in enumerate(lat):
+            j = seen_pts.setdefault(p, i)
+            if j != i:
+                raise DuplicateVertex(f"vertices {j} and {i} coincide at {pts[i]}")
 
     seen_tris: set[frozenset[int]] = set()
-    for k, tri in enumerate(tris):
-        if len(set(tri)) != 3:
+    edge_map: dict[tuple[int, int], list[int]] = {}
+    turns = [0] * n
+    for k, (a, b, c) in enumerate(tris):
+        if a == b or b == c or c == a:
             raise DegenerateTriangle(f"triangle {k} repeats a vertex")
-        area2 = _orient(lat[tri[0]], lat[tri[1]], lat[tri[2]])
+        (ax, ay), (bx, by), (cx, cy) = lat[a], lat[b], lat[c]
+        area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         if area2 == 0:
             raise DegenerateTriangle(f"triangle {k} has zero area")
         if area2 < 0:
-            tris[k] = tri = (tri[0], tri[2], tri[1])
-        key = frozenset(tri)
+            b, c, by, cy = c, b, cy, by
+            tris[k] = (a, b, c)
+        key = frozenset((a, b, c))
         if key in seen_tris:
             raise NonManifoldEdge(f"triangle {k} duplicates an earlier triangle")
         seen_tris.add(key)
+        for u, v in ((a, b), (b, c), (c, a)):
+            if u < v:
+                edge_map.setdefault((u, v), []).append(k)
+            else:
+                edge_map.setdefault((v, u), []).append(~k)
+        turns[a] += by <= ay < cy
+        turns[b] += cy <= by < ay
+        turns[c] += ay <= cy < by
     if not tris:
         raise ValueError("need at least 1 triangle")
 
-    edge_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for t_idx, tri in enumerate(tris):
-        for a, b, opp in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            u, v = tri[a], tri[b]
-            key = (u, v) if u < v else (v, u)
-            edge_map.setdefault(key, []).append((t_idx, tri[opp]))
+    boundary_keys = []
+    for (u, v), held in edge_map.items():
+        if len(held) == 1:
+            boundary_keys.append((u, v))
+        elif len(held) > 2:
+            raise NonManifoldEdge(f"edge ({u},{v}) borders {len(held)} triangles")
+        elif (held[0] < 0) == (held[1] < 0):
+            raise NonManifoldEdge(f"triangles overlap across edge ({u},{v})")
 
-    for (u, v), incid in edge_map.items():
-        if len(incid) > 2:
-            raise NonManifoldEdge(f"edge ({u},{v}) borders {len(incid)} triangles")
-        if len(incid) == 2:
-            s1 = _orient(lat[u], lat[v], lat[incid[0][1]])
-            s2 = _orient(lat[u], lat[v], lat[incid[1][1]])
-            if (s1 > 0) == (s2 > 0):
-                raise NonManifoldEdge(f"triangles overlap across edge ({u},{v})")
+    unused = set(range(n)).difference(*tris)
+    if unused:
+        raise DisconnectedOrHoley(f"vertex {min(unused)} belongs to no triangle")
 
-    used = {i for tri in tris for i in tri}
-    for i in range(len(pts)):
-        if i not in used:
-            raise DisconnectedOrHoley(f"vertex {i} belongs to no triangle")
-
-    boundary_keys = [k for k, incid in edge_map.items() if len(incid) == 1]
-    on_boundary = {v for k in boundary_keys for v in k}
-    _check_fans(lat, tris, on_boundary)
+    on_boundary = {v for key in boundary_keys for v in key}
+    for v, count in enumerate(turns):
+        if count != 1 and v not in on_boundary:
+            raise EdgeCrossing(f"the triangles at vertex {v} wind {count} times around it")
     _check_simple_boundary(lat, boundary_keys)
 
     bnbrs: dict[int, list[int]] = {}
@@ -372,27 +393,30 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
     if steps != len(boundary_keys):
         raise DisconnectedOrHoley("boundary is not a single cycle")
 
-    kinds = tuple("boundary" if i in on_boundary else "interior" for i in range(len(pts)))
-
-    edges = []
-    for (u, v) in sorted(edge_map):
-        incid = sorted(t for t, _ in edge_map[(u, v)])
-        slope = _primitive(lat[v][0] - lat[u][0], lat[v][1] - lat[u][1])
-        edges.append(Edge(u, v, slope, tuple(incid)))
-    ties = tuple(i for i, e in enumerate(edges) if kinds[e.u] == kinds[e.v] == "interior")
-
+    edges: list[Edge] = []
     edges_at: list[list[int]] = [[] for _ in pts]
-    for idx, e in enumerate(edges):
-        edges_at[e.u].append(idx)
-        edges_at[e.v].append(idx)
+    ties: list[int] = []
+    for idx, ((u, v), held) in enumerate(sorted(edge_map.items())):
+        # the triangles in ascending order, without their directions
+        i = held[0]
+        if len(held) == 1:
+            held = (i if i >= 0 else ~i,)
+        else:
+            held = (i, ~held[1]) if i >= 0 else (~i, held[1])
+        (xu, yu), (xv, yv) = lat[u], lat[v]
+        edges.append(Edge(u, v, _primitive(xv - xu, yv - yu), held))
+        edges_at[u].append(idx)
+        edges_at[v].append(idx)
+        if u not in on_boundary and v not in on_boundary:
+            ties.append(idx)
 
     return Triangulation(
         vertices=tuple(pts),
         triangles=tuple(tris),
         edges=tuple(edges),
-        vertex_kind=kinds,
-        edges_at=tuple(tuple(lst) for lst in edges_at),
-        ties=ties,
+        vertex_kind=tuple("boundary" if i in on_boundary else "interior" for i in range(n)),
+        edges_at=tuple(map(tuple, edges_at)),
+        ties=tuple(ties),
     )
 
 

@@ -53,8 +53,22 @@ MUTANTS = [
      ["tests/test_mesh_validation.py::test_quasi_cross_cut_walk_matches_union_find"]),
     # the tie list build records
     ("tie-rule-one-interior-endpoint", "triangulation.py",
-     'kinds[e.u] == kinds[e.v] == "interior")', '"interior" in (kinds[e.u], kinds[e.v]))',
+     "if u not in on_boundary and v not in on_boundary:",
+     "if u not in on_boundary or v not in on_boundary:",
      ["tests/test_triangulation.py::test_figure2_census"]),
+    # build's fused passes: the opposite-side test of the edge map walk, a fan turn
+    # counted with < for <=, and each edge's triangles listed in descending order
+    ("opposite-side-test-dropped", "triangulation.py",
+     "elif (held[0] < 0) == (held[1] < 0):", "elif False:",
+     ["tests/test_mesh_validation.py::test_invalid_meshes_agree",
+      "tests/test_triangulation.py::test_build_reports_the_earliest_check"]),
+    ("fan-turn-strict", "triangulation.py",
+     "turns[a] += by <= ay < cy", "turns[a] += by < ay < cy",
+     ["tests/test_cli.py::test_validate_bundled_figure"]),
+    ("edge-triangles-descending", "triangulation.py",
+     "held = (i, ~held[1]) if i >= 0 else (~i, held[1])",
+     "held = (~held[1], i) if i >= 0 else (held[1], ~i)",
+     ["tests/test_mesh_validation.py::test_build_output_matches_a_recomputation"]),
     ("trivial-at-r-plus-2-slopes", "dimension.py",
      "if params.t + 1 >= r + 3:", "if params.t + 1 >= r + 2:",
      ["tests/test_mesh_validation.py::test_dim_auto_matches_spline_oracle_on_generated_meshes"]),

@@ -75,11 +75,16 @@ def test_parse_rational_forms():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-9/6") == Fraction(-3, 2)
     assert parse_rational(Fraction(2, 5)) == Fraction(2, 5)
+    assert parse_rational(" 3/4 ") == Fraction(3, 4)
+    assert parse_rational("007/010") == Fraction(7, 10)
+    assert parse_rational("-0") == 0
 
 
-# non-ASCII decimal digits, which int() would read: Arabic-Indic, fullwidth, mathematical
+# non-ASCII decimal digits, which int() would read: Arabic-Indic, fullwidth, mathematical;
+# then what int() reads, or reads once split at "/", that is no rational literal here
 @pytest.mark.parametrize("bad", [1.5, "3.5", "1/0", "a/b", "", "1/-2", True, None,
-                                 "\u0663/\u0664", "\uff13", "\U0001d7d9"])
+                                 "\u0663/\u0664", "\uff13", "\U0001d7d9",
+                                 "+3", "1_000", "3/00", "- 3", "3 /4"])
 def test_parse_rational_rejects(bad):
     with pytest.raises((ValueError, TypeError)):
         parse_rational(bad)

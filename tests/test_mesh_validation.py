@@ -6,7 +6,8 @@ same meshes: generated valid ones (jittered rational grids, rational
 affine images, one-tie stars), hand-made broken ones, and random
 perturbations and triangle soups that are mostly broken.  On the accepted
 ones, is_quasi_cross_cut must agree with the union-find referee
-(mesh_referee.referee_quasi_cross_cut).  On one-tie stars and rational
+(mesh_referee.referee_quasi_cross_cut), and every field build() returns
+must match a recomputation from the input.  On one-tie stars and rational
 affine images of the bundled one-tie meshes, dim(auto) must equal the
 spline oracle.
 """
@@ -264,6 +265,40 @@ def test_quasi_cross_cut_walk_matches_union_find(mesh, r):
         assert unsupported
     else:
         assert not unsupported
+
+
+# ------------------------------------------------------- build's output
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(valid_meshes, glued_ears(), plain_grids(), affine_images(plain_grids())))
+def test_build_output_matches_a_recomputation(mesh):
+    """Every field of a built mesh, recomputed from the input alone."""
+    verts, tris = mesh
+    try:
+        tri = tg.build(verts, tris)
+    except tg.MeshError:
+        reject()
+    pts = tuple(tg.Point2(F(x), F(y)) for x, y in verts)
+    assert tri.vertices == pts
+    # each triangle keeps its input's vertices, counterclockwise
+    assert len(tri.triangles) == len(tris)
+    for t, raw in zip(tri.triangles, tris):
+        assert sorted(t) == sorted(raw) and referee_orient(*(pts[i] for i in t)) > 0
+    # every pair of a triangle's vertices is an edge, listed once in key order with the
+    # ascending indices of the triangles holding both its endpoints
+    held = {key: tuple(k for k, t in enumerate(tris) if set(key) <= set(t))
+            for key in sorted({tuple(sorted(pair)) for t in tris for pair in combinations(t, 2)})}
+    assert [(e.key, e.triangles) for e in tri.edges] == list(held.items())
+    for e in tri.edges:
+        # the primitive direction, dx > 0 or dx == 0 < dy
+        dx, dy = pts[e.v].x - pts[e.u].x, pts[e.v].y - pts[e.u].y
+        assert e.slope == ((dy / dx).denominator, (dy / dx).numerator) if dx else (0, 1)
+    outer = {v for key, ks in held.items() if len(ks) == 1 for v in key}
+    assert tri.vertex_kind == tuple("boundary" if v in outer else "interior"
+                                    for v in range(len(pts)))
+    assert tri.edges_at == tuple(tuple(i for i, e in enumerate(tri.edges) if v in e.key)
+                                 for v in range(len(pts)))
+    assert tri.ties == tuple(i for i, e in enumerate(tri.edges) if not outer.intersection(e.key))
 
 
 # ------------------------------------------------------- dim against the oracle

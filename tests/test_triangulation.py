@@ -253,6 +253,39 @@ def test_build_bowtie_pinch():
                  [(0, 1, 2), (1, 3, 4)])
 
 
+_PENTAGON = [(0, 10), (-10, 3), (-6, -8), (6, -8), (10, 3)]
+
+
+# Meshes with several faults: build names the one its documented check order meets first.
+@pytest.mark.parametrize("verts, tris, error, message", [
+    pytest.param([(0, 0), (1, 0), (2, 0), (0, 1), (1, 0)], [(0, 1, 2), (0, 1, 3)],
+                 tg.DuplicateVertex,
+                 "vertices 1 and 4 coincide at Point2(x=Fraction(1, 1), y=Fraction(0, 1))",
+                 id="duplicate-vertex-and-zero-area"),
+    pytest.param([(0, 0), (1, 0), (0, 1), (2, 0)], [(0, 1, 2), (0, 1, 3), (2, 1, 0)],
+                 tg.DegenerateTriangle, "triangle 1 has zero area",
+                 id="zero-area-before-duplicate-triangle"),
+    # each triangle runs check 2 and the repeated-triangle check before the next one does
+    pytest.param([(0, 0), (1, 0), (0, 1), (2, 0)], [(0, 1, 2), (2, 1, 0), (0, 1, 3)],
+                 tg.NonManifoldEdge, "triangle 1 duplicates an earlier triangle",
+                 id="duplicate-triangle-before-zero-area"),
+    # (0, 1) and (2, 3) each get a second triangle on the side of their first; the fold
+    # across (0, 1) is listed first and (0, 1) sorts first, but (2, 3) is in triangle 0
+    pytest.param([(0, 0), (2, 0), (2, 2), (0, 2), (F(1, 2), F(3, 2)), (F(3, 2), F(1, 2))],
+                 [(0, 2, 3), (0, 1, 2), (0, 1, 5), (2, 3, 4)],
+                 tg.NonManifoldEdge, "triangles overlap across edge (2,3)",
+                 id="two-folds-first-edge-named"),
+    # a fan whose link winds twice around vertex 0, and an isolated vertex 6
+    pytest.param([(0, 0)] + _PENTAGON + [(20, 20)], [(0, 1 + k, 1 + (k + 2) % 5) for k in range(5)],
+                 tg.DisconnectedOrHoley, "vertex 6 belongs to no triangle",
+                 id="isolated-vertex-and-folded-fan"),
+])
+def test_build_reports_the_earliest_check(verts, tris, error, message):
+    with pytest.raises(error) as info:
+        tg.build(verts, tris)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_build_normalizes_orientation():
     # clockwise input triangles come out counterclockwise
     tri = tg.build([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
