@@ -4,6 +4,11 @@ Two independent routes are implemented for meshes with a single totally
 interior edge: a lattice count added to the classical lower bound, and a
 piecewise closed form.  The dispatcher runs both and refuses to answer if
 they ever disagree.
+
+Each public function checks its own arguments, in a fixed order.  The
+private cores it calls (_lower_bound, _mesh_bound, _tie_bound, _branch and
+_middle_sum) take them as checked and check none again.  The closed form
+picks its branch with integer tests alone; see dim_explicit.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ def _lower_bound(n_interior_edges: int, slope_counts: Iterable[int], d: int, r: 
     n*(r+1) = alpha*(n-1) + nu with 0 <= nu < n - 1 and set mu = n - 1 - nu;
     the pair (mu, nu) weights two binomial terms.
     """
-    check_ints("d and r", d, r, low=0)
     total = binom(d + 2, 2)
     coeff = n_interior_edges
     for n in slope_counts:
@@ -56,15 +60,20 @@ def _lower_bound(n_interior_edges: int, slope_counts: Iterable[int], d: int, r: 
     return total + coeff * binom(d + 1 - r, 2)
 
 
-def schumaker_lower_bound(tri: tg.Triangulation, d: int, r: int) -> int:
-    """Classical lower bound for dim C^r_d over any triangulation."""
+def _mesh_bound(tri: tg.Triangulation, d: int, r: int) -> int:
+    """_lower_bound from the mesh's interior edges and interior vertex slopes."""
     return _lower_bound(len(tri.interior_edges()),
                         [tg.slope_count(tri, v) for v in tri.interior_vertices], d, r)
 
 
+def schumaker_lower_bound(tri: tg.Triangulation, d: int, r: int) -> int:
+    """Classical lower bound for dim C^r_d over any triangulation."""
+    check_ints("d and r", d, r, low=0)
+    return _mesh_bound(tri, d, r)
+
+
 def _tie_bound(p: int, q: int, s: int, t: int, d: int, r: int, tie: int) -> int:
     """Lower bound for p + q + tie interior edges and s + tie, t + tie slopes."""
-    check_ints("p, q, s and t", p, q, s, t)
     return _lower_bound(p + q + tie, (s + tie, t + tie), d, r)
 
 
@@ -74,11 +83,15 @@ def schumaker_lower_bound_params(p: int, q: int, s: int, t: int, d: int, r: int)
     The mesh has p + q + 1 interior edges and two interior vertices whose
     stars carry s + 1 and t + 1 slopes (the shared edge included).
     """
+    check_ints("p, q, s and t", p, q, s, t)
+    check_ints("d and r", d, r, low=0)
     return _tie_bound(p, q, s, t, d, r, 1)
 
 
 def schumaker_lower_bound_prime(p: int, q: int, s: int, t: int, d: int, r: int) -> int:
     """Lower bound for the companion mesh with the totally interior edge removed."""
+    check_ints("p, q, s and t", p, q, s, t)
+    check_ints("d and r", d, r, low=0)
     return _tie_bound(p, q, s, t, d, r, 0)
 
 
@@ -127,7 +140,7 @@ def classify(tri: tg.Triangulation, r: int) -> tuple[str, str, tg.OneTieParams |
 
 
 def _require_nontrivial(params: tg.OneTieParams, r: int) -> TiePair:
-    check_ints("r", r, low=0)
+    """The (s, t, r) of params, or TrivialCase; the caller has checked r."""
     reason = _trivial_reason(params, r)
     if reason is not None:
         raise TrivialCase(f"{reason}; dim equals the lower bound")
@@ -138,26 +151,28 @@ def dim_lattice(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     """Lower bound plus the lattice-count correction."""
     check_ints("d and r", d, r, low=0)
     tp = _require_nontrivial(params, r)
-    lower = schumaker_lower_bound_params(params.p, params.q, params.s, params.t, d, r)
+    lower = _tie_bound(params.p, params.q, params.s, params.t, d, r, 1)
     corr = homology_dim(tp, d)
     return DimReport(r, d, lower, corr, "lattice")
 
 
-def f_explicit(s: int, t: int, d: int, r: int) -> int:
-    """Middle-branch excess over the lower bound, as a single finite sum.
+def _branch(s: int, t: int, d: int, r: int) -> int:
+    """0, 1 or 2 as d <= low, low < d <= high or d > high (see dim_explicit)."""
+    if (d - r) * s * (t - 1) <= t * r:
+        return 0
+    if s * t * (d - r + 1) <= (s + t) * (r + 1):
+        return 1
+    return 2
 
-    Needs integers 2 <= s <= t, as degree_thresholds does, and is only valid
-    strictly between the two thresholds; raises OutOfBranch elsewhere.
+
+def _middle_sum(s: int, t: int, d: int, r: int) -> int:
+    """f_explicit's sum, for checked arguments strictly between the thresholds.
 
     No summand is negative.  Summand i is floor(U) - ceil(L) + 1 for the
     rationals U = ((i - d)(s - 1) + r s) / s and L = (i + d(t - 1) - r t) / t,
     and s t (U - L) = i * den - num.  So every i >= start = ceil(num / den)
     has U >= L, and then ceil(L) - 1 < L <= U gives floor(U) >= ceil(L) - 1.
     """
-    check_ints("d and r", d, r, low=0)
-    low, high = degree_thresholds(s, t, r)
-    if not low < d <= high:
-        raise OutOfBranch(f"d={d} outside ({low}, {high}]")
     # the branch is empty unless t >= 3, so the denominator below is positive
     den = (s - 1) * (t - 1) - 1
     num = 2 * s * t * (d - r) - (s + t) * d
@@ -170,16 +185,40 @@ def f_explicit(s: int, t: int, d: int, r: int) -> int:
     return total
 
 
+def f_explicit(s: int, t: int, d: int, r: int) -> int:
+    """Middle-branch excess over the lower bound, as a single finite sum.
+
+    Needs integers 2 <= s <= t, checked as degree_thresholds checks them,
+    and is only valid strictly between the two thresholds; raises
+    OutOfBranch elsewhere.
+    """
+    check_ints("d and r", d, r, low=0)
+    check_ints("s, t and r", s, t, r)
+    if not 2 <= s <= t:
+        raise ValueError(f"need 2 <= s <= t, got {s!r}, {t!r}")
+    if _branch(s, t, d, r) != 1:
+        low, high = degree_thresholds(s, t, r)
+        raise OutOfBranch(f"d={d} outside ({low}, {high}]")
+    return _middle_sum(s, t, d, r)
+
+
 def dim_explicit(params: tg.OneTieParams, d: int, r: int) -> DimReport:
-    """Piecewise closed form: companion bound, middle sum, or plain bound."""
+    """Piecewise closed form: companion bound, middle sum, or plain bound.
+
+    The branch is read from degree_thresholds' low = t r / (s (t - 1)) + r
+    and high = (r + 1)/s + (r + 1)/t + r - 1 on integers alone (_branch).
+    As s (t - 1) > 0, d <= low iff (d - r) s (t - 1) <= t r; as s t > 0,
+    d <= high iff d - r + 1 <= (r + 1)(s + t) / (s t), that is iff
+    s t (d - r + 1) <= (s + t)(r + 1).
+    """
     check_ints("d and r", d, r, low=0)
     _require_nontrivial(params, r)
     p, q, s, t = params.p, params.q, params.s, params.t
-    lower = schumaker_lower_bound_params(p, q, s, t, d, r)
-    low, high = degree_thresholds(s, t, r)
-    if d <= low:
-        correction = schumaker_lower_bound_prime(p, q, s, t, d, r) - lower
-    elif d <= high:
+    lower = _tie_bound(p, q, s, t, d, r, 1)
+    branch = _branch(s, t, d, r)
+    if branch == 0:
+        correction = _tie_bound(p, q, s, t, d, r, 0) - lower
+    elif branch == 1:
         correction = f_explicit(s, t, d, r)
     else:
         # f_explicit's range is empty exactly here: start >= d - r holds iff
@@ -192,6 +231,7 @@ def dim_explicit(params: tg.OneTieParams, d: int, r: int) -> DimReport:
 
 def stabilization_degree(params: tg.OneTieParams, r: int) -> int:
     """First degree from which the dimension equals the lower bound forever."""
+    check_ints("r", r, low=0)
     tp = _require_nontrivial(params, r)
     return homology_regularity(tp) + 1
 
@@ -208,7 +248,7 @@ def dim(tri: tg.Triangulation, d: int, r: int, method: str = "auto",
     check_ints("d and r", d, r, low=0)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    lower = schumaker_lower_bound(tri, d, r)
+    lower = _mesh_bound(tri, d, r)
     if method == "oracle":
         from . import oracle
         correction = oracle.dim_spline_oracle(tri, d, r, allow_large=allow_large) - lower

@@ -159,7 +159,9 @@ def rank_sparse(rows: Sequence[dict[int, int]]) -> int:
 def kernel_dim_sparse(rows: Sequence[dict[int, int]], ncols: int) -> int:
     """Nullity of sparse integer rows whose columns all lie in 0..ncols-1."""
     check_ints("ncols", ncols, low=0)
-    cols = {c for row in rows for c in row}
-    if cols and (min(cols) < 0 or max(cols) >= ncols):
-        raise ValueError(f"row columns {min(cols)}..{max(cols)} outside 0..{ncols - 1}")
+    # with no column at all, lo = 0 and hi = -1 pass for every ncols >= 0
+    lo = min((min(row) for row in rows if row), default=0)
+    hi = max((max(row) for row in rows if row), default=-1)
+    if lo < 0 or hi >= ncols:
+        raise ValueError(f"row columns {lo}..{hi} outside 0..{ncols - 1}")
     return ncols - rank_sparse(rows)

@@ -184,7 +184,10 @@ def _check_simple_boundary(lat: list[tuple[int, int]], keys: list[tuple[int, int
 
     A segment endpoint strictly inside another segment raises HangingVertex,
     a proper crossing raises EdgeCrossing.  Segments that share an endpoint
-    pass; the pinch check sees them.  Segments are ordered by their
+    pass; the pinch check sees them.  Such a pair cannot cross properly,
+    and its common endpoint is strictly inside neither segment, so one
+    orientation call, collinear or not, decides whether the inside test
+    runs; any other pair takes four.  Segments are ordered by their
     lexicographically smaller endpoint, and one stays active while its
     larger endpoint lies beyond the current segment's smaller one: every
     point of a later segment lies beyond that, so a segment that ends
@@ -200,11 +203,19 @@ def _check_simple_boundary(lat: list[tuple[int, int]], keys: list[tuple[int, int
         for c, d, k, m in active:
             if max(c[1], d[1]) < lo or hi < min(c[1], d[1]):
                 continue
-            o1, o2 = _orient(a, b, c), _orient(a, b, d)
-            o3, o4 = _orient(c, d, a), _orient(c, d, b)
-            if o1 * o2 < 0 and o3 * o4 < 0:
-                raise EdgeCrossing(f"edges ({min(i, j)},{max(i, j)}) and "
-                                   f"({min(k, m)},{max(k, m)}) cross")
+            if k == i or k == j or m == i or m == j:
+                # a common endpoint rules out a proper crossing; an endpoint can
+                # lie inside the other segment only if the active one's far
+                # endpoint is on this line, and then all four orientations are 0
+                if _orient(a, b, d if k == i or k == j else c):
+                    continue
+                o1 = o2 = o3 = o4 = 0
+            else:
+                o1, o2 = _orient(a, b, c), _orient(a, b, d)
+                o3, o4 = _orient(c, d, a), _orient(c, d, b)
+                if o1 * o2 < 0 and o3 * o4 < 0:
+                    raise EdgeCrossing(f"edges ({min(i, j)},{max(i, j)}) and "
+                                       f"({min(k, m)},{max(k, m)}) cross")
             # on a line, lexicographic order of (x, y) is the order along it
             for o, p, w, p0, p1, u, v in ((o1, c, k, a, b, i, j), (o2, d, m, a, b, i, j),
                                           (o3, a, i, c, d, k, m), (o4, b, j, c, d, k, m)):

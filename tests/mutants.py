@@ -117,6 +117,13 @@ MUTANTS = [
     ("far-end-scale-dropped", "oracle.py",
      "shift[i] = (det * lat // g,", "shift[i] = (lat,",
      ["tests/test_oracle.py::test_conformality_rows_meet_the_conditions"]),
+    # the closed form's integer branch tests, d <= low and d <= high
+    ("branch-low-strict", "dimension.py",
+     "if (d - r) * s * (t - 1) <= t * r:", "if (d - r) * s * (t - 1) < t * r:",
+     ["tests/test_dimension.py::test_dim_explicit_branch_matches_degree_thresholds"]),
+    ("branch-high-d-minus-r", "dimension.py",
+     "if s * t * (d - r + 1) <= (s + t) * (r + 1):", "if s * t * (d - r) <= (s + t) * (r + 1):",
+     ["tests/test_dimension.py::test_dim_explicit_branch_matches_degree_thresholds"]),
     # the middle branch of the closed form, past the golden tables' r <= 12
     ("f-explicit-start-plus-1", "dimension.py",
      "for i in range(start, d - r):", "for i in range(start + 1, d - r):",

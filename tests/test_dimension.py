@@ -132,6 +132,144 @@ def test_argument_contracts(call, error):
         call()
 
 
+# Bad arguments to every public function of dimension, each with the exception
+# class and the exact message it raises.  The rows with two faults pin which
+# check runs first: d and r before s and t in f_explicit, p, q, s and t before
+# d and r in the bounds, types before ranges, and every argument check before
+# TrivialCase.  Mesh and parameter arguments are named and looked up below.
+_ERRORS = {
+    "f_explicit": [
+        ((True, 4, 12, 8), ValueError, "s, t and r must be integers, got True, 4, 8"),
+        ((3, 2.5, 12, 8), ValueError, "s, t and r must be integers, got 3, 2.5, 8"),
+        ((3, 4, True, 8), ValueError, "d and r must be integers, got True, 8"),
+        ((3, 4, 12, 2.5), ValueError, "d and r must be integers, got 12, 2.5"),
+        ((3, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        ((3, 4, 12, -1), ValueError, "d and r must be at least 0, got 12, -1"),
+        ((4, 3, 12, 8), ValueError, "need 2 <= s <= t, got 4, 3"),
+        ((1, 4, 12, 8), ValueError, "need 2 <= s <= t, got 1, 4"),
+        ((4, 3, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        ((True, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        ((1, 2.5, 12, 8), ValueError, "s, t and r must be integers, got 1, 2.5, 8"),
+        ((3, 4, -1, True), ValueError, "d and r must be integers, got -1, True"),
+        ((3, 4, 8, 6), dm.OutOfBranch, "d=8 outside (26/3, 109/12]"),
+        ((3, 4, 20, 8), dm.OutOfBranch, "d=20 outside (104/9, 49/4]"),
+        ((2, 2, 5, 2), dm.OutOfBranch, "d=5 outside (4, 4]"),
+    ],
+    "schumaker_lower_bound_params": [
+        ((True, 5, 3, 4, 12, 8), ValueError, "p, q, s and t must be integers, got True, 5, 3, 4"),
+        ((6, 5, 3, 2.5, 12, 8), ValueError, "p, q, s and t must be integers, got 6, 5, 3, 2.5"),
+        ((6, 5, 3, 4, True, 8), ValueError, "d and r must be integers, got True, 8"),
+        ((6, 5, 3, 4, 12, 2.5), ValueError, "d and r must be integers, got 12, 2.5"),
+        ((6, 5, 3, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        ((6, 5, 3, 4, 12, -1), ValueError, "d and r must be at least 0, got 12, -1"),
+        ((True, 5, 3, 4, -1, 8), ValueError, "p, q, s and t must be integers, got True, 5, 3, 4"),
+        ((6, 5, 0, 4, 12, 8), ValueError, "an interior vertex carries at least 2 slopes"),
+        ((6, 5, 0, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+    ],
+    "schumaker_lower_bound_prime": [
+        ((6, True, 3, 4, 12, 8), ValueError, "p, q, s and t must be integers, got 6, True, 3, 4"),
+        ((6, 5, 2.5, 4, 12, 8), ValueError, "p, q, s and t must be integers, got 6, 5, 2.5, 4"),
+        ((6, 5, 3, 4, 2.5, 8), ValueError, "d and r must be integers, got 2.5, 8"),
+        ((6, 5, 3, 4, 12, True), ValueError, "d and r must be integers, got 12, True"),
+        ((6, 5, 3, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        ((6, 5, 3, 4, 12, -1), ValueError, "d and r must be at least 0, got 12, -1"),
+        ((6, 5, 1, 4, 12, 8), ValueError, "an interior vertex carries at least 2 slopes"),
+        ((6, 5, 3, 1, 12, 8), ValueError, "an interior vertex carries at least 2 slopes"),
+        ((6, 5, 1, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        ((6, 5, 1, 2.5, 12, 8), ValueError, "p, q, s and t must be integers, got 6, 5, 1, 2.5"),
+    ],
+    "schumaker_lower_bound": [
+        (("FIG2", True, 8), ValueError, "d and r must be integers, got True, 8"),
+        (("FIG2", 12, 2.5), ValueError, "d and r must be integers, got 12, 2.5"),
+        (("FIG2", -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        (("FIG2", 12, -1), ValueError, "d and r must be at least 0, got 12, -1"),
+        (("FIG2", -1, True), ValueError, "d and r must be integers, got -1, True"),
+    ],
+    "dim": [
+        (("FIG2", True, 8), ValueError, "d and r must be integers, got True, 8"),
+        (("FIG2", 12, 2.5), ValueError, "d and r must be integers, got 12, 2.5"),
+        (("FIG2", -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        (("FIG2", 12, -1), ValueError, "d and r must be at least 0, got 12, -1"),
+        (("FIG2", 2.5, -1), ValueError, "d and r must be integers, got 2.5, -1"),
+        (("FIG2", -1, 8, "guess"), ValueError, "d and r must be at least 0, got -1, 8"),
+        (("FIG2", 12, 8, "guess"), ValueError, "unknown method 'guess'"),
+        (("FIG2", 12, -1, "explicit"), ValueError, "d and r must be at least 0, got 12, -1"),
+        (("TWO", 4, -1), ValueError, "d and r must be at least 0, got 4, -1"),
+        (("FIG2", 5, 2, "lattice"), dm.TrivialCase,
+         "an endpoint carries at least r + 3 = 5 slopes; dim equals the lower bound"),
+        (("FIG2", 5, 2, "explicit"), dm.TrivialCase,
+         "an endpoint carries at least r + 3 = 5 slopes; dim equals the lower bound"),
+    ],
+    "classify": [
+        (("FIG2", True), ValueError, "r must be an integer, got True"),
+        (("FIG2", 2.5), ValueError, "r must be an integer, got 2.5"),
+        (("FIG2", -1), ValueError, "r must be at least 0, got -1"),
+        (("CROSS", -1), ValueError, "r must be at least 0, got -1"),
+        (("TWO", -1), ValueError, "r must be at least 0, got -1"),
+    ],
+    "dim_lattice": [
+        (("P", True, 8), ValueError, "d and r must be integers, got True, 8"),
+        (("P", 12, 2.5), ValueError, "d and r must be integers, got 12, 2.5"),
+        (("P", -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        (("P", 12, -1), ValueError, "d and r must be at least 0, got 12, -1"),
+        (("P", -1, 2.5), ValueError, "d and r must be integers, got -1, 2.5"),
+        (("P", -1, 2), ValueError, "d and r must be at least 0, got -1, 2"),
+        (("P", 5, 2), dm.TrivialCase,
+         "an endpoint carries at least r + 3 = 5 slopes; dim equals the lower bound"),
+        (("C", 9, 6), dm.TrivialCase,
+         "shared-edge slope reappears at an endpoint; dim equals the lower bound"),
+    ],
+    "dim_explicit": [
+        (("P", 2.5, 8), ValueError, "d and r must be integers, got 2.5, 8"),
+        (("P", 12, True), ValueError, "d and r must be integers, got 12, True"),
+        (("P", -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        (("P", 12, -1), ValueError, "d and r must be at least 0, got 12, -1"),
+        (("P", True, -1), ValueError, "d and r must be integers, got True, -1"),
+        (("C", -1, 6), ValueError, "d and r must be at least 0, got -1, 6"),
+        (("P", 5, 2), dm.TrivialCase,
+         "an endpoint carries at least r + 3 = 5 slopes; dim equals the lower bound"),
+        (("C", 9, 6), dm.TrivialCase,
+         "shared-edge slope reappears at an endpoint; dim equals the lower bound"),
+    ],
+    "stabilization_degree": [
+        (("P", True), ValueError, "r must be an integer, got True"),
+        (("P", 2.5), ValueError, "r must be an integer, got 2.5"),
+        (("P", -1), ValueError, "r must be at least 0, got -1"),
+        (("C", -1), ValueError, "r must be at least 0, got -1"),
+        (("P", 2), dm.TrivialCase,
+         "an endpoint carries at least r + 3 = 5 slopes; dim equals the lower bound"),
+        (("C", 6), dm.TrivialCase,
+         "shared-edge slope reappears at an endpoint; dim equals the lower bound"),
+    ],
+}
+_ARGUMENTS = {
+    "FIG2": lambda: _FIG2,
+    "CROSS": conftest.cross_cut_square,
+    "TWO": conftest.two_tie_strip,
+    "P": _fig2_params,
+    "C": lambda: tg.OneTieParams(tau=(0, 1), p=6, q=5, s=3, t=4, trivial_slope_collision=True),
+}
+
+
+@pytest.mark.parametrize("name, args, error, message", [
+    pytest.param(name, args, error, message, id=f"{name}{args}")
+    for name, rows in _ERRORS.items() for args, error, message in rows])
+def test_error_precedence(name, args, error, message):
+    args = [_ARGUMENTS[a]() if isinstance(a, str) and a in _ARGUMENTS else a for a in args]
+    with pytest.raises(Exception) as info:
+        getattr(dm, name)(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_bounds_take_s_above_t():
+    # the bounds check only that p, q, s and t are integers: s > t is a mirrored star
+    assert dm.schumaker_lower_bound_params(5, 6, 4, 3, 12, 8) == \
+        dm.schumaker_lower_bound_params(6, 5, 3, 4, 12, 8)
+    assert dm.schumaker_lower_bound_prime(5, 6, 4, 3, 12, 8) == \
+        dm.schumaker_lower_bound_prime(6, 5, 3, 4, 12, 8)
+
+
 def test_f_explicit_out_of_branch():
     with pytest.raises(dm.OutOfBranch):
         dm.f_explicit(3, 4, 8, 6)  # below the threshold
@@ -184,6 +322,26 @@ def test_dim_explicit_branches_figure2_r6():
     for d in range(10, 16):
         rep = dm.dim_explicit(params, d, 6)
         assert rep.correction == 0
+
+
+def test_dim_explicit_branch_matches_degree_thresholds(monkeypatch):
+    # dim_explicit picks its branch with integer tests; every cell with r <= 40,
+    # 2 <= s <= t <= r + 1 and d <= 3r + 5 must take the branch that
+    # degree_thresholds' Fractions select.  With each bound replaced by its tie
+    # count and f_explicit by 1, the correction names the branch: 0 - 1 for the
+    # companion bound, 1 for the middle sum and 0 for the plain bound.
+    monkeypatch.setattr(dm, "_tie_bound", lambda *args: args[-1])
+    monkeypatch.setattr(dm, "f_explicit", lambda *args: 1)
+    for r in range(41):
+        for t in range(2, r + 2):
+            for s in range(2, t + 1):
+                params = tg.OneTieParams(tau=(0, 1), p=s, q=t, s=s, t=t,
+                                         trivial_slope_collision=False)
+                # for an integer d, d <= x exactly when d <= floor(x)
+                low, high = map(math.floor, degree_thresholds(s, t, r))
+                got = [dm.dim_explicit(params, d, r).correction for d in range(3 * r + 6)]
+                want = [-1 if d <= low else 1 if d <= high else 0 for d in range(3 * r + 6)]
+                assert got == want, (s, t, r)
 
 
 def test_figure2_closed_form_tables_r6_r7_r8():

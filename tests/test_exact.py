@@ -197,10 +197,15 @@ def test_sparse_rank_empty():
     ([{0: 1, 4: 2}], 4),
     ([{-1: 1}], 3),
     ([{0: 1}], 0),
+    ([{3: 1, 1: 2}, {}, {-2: 5}], 3),
+    # a column is named by its key, even when the entry is zero
+    ([{1: 1}, {5: 0}], 2),
 ])
 def test_kernel_dim_sparse_rejects_columns_outside_range(rows, ncols):
-    with pytest.raises(ValueError):
+    cols = [c for row in rows for c in row]
+    with pytest.raises(ValueError) as info:
         kernel_dim_sparse(rows, ncols)
+    assert str(info.value) == f"row columns {min(cols)}..{max(cols)} outside 0..{ncols - 1}"
 
 
 def test_empty_matrix_with_declared_columns():

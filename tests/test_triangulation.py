@@ -230,6 +230,20 @@ def test_build_hanging_vertex():
                  [(0, 1, 2), (0, 4, 3), (3, 4, 1)])
 
 
+# Boundary edges on one line through a common endpoint: vertex 2 lies inside
+# edge (0, 1).  In the double slit both its boundary edges run along (0, 1);
+# in the fan slit the fan at vertex 0 turns all the way round from (0, 1) to (0, 2).
+@pytest.mark.parametrize("verts, tris", [
+    pytest.param([(0, 0), (2, 0), (1, 0), (1, 1), (1, -1)], [(0, 1, 3), (0, 2, 4), (2, 1, 4)],
+                 id="double-slit"),
+    pytest.param([(0, 0), (2, 0), (1, 0), (0, 2), (-2, 0), (0, -2)],
+                 [(0, 1, 3), (0, 3, 4), (0, 4, 5), (0, 5, 2)], id="fan-slit"),
+])
+def test_build_collinear_boundary_edges_at_a_vertex(verts, tris):
+    with pytest.raises(tg.HangingVertex, match=r"^vertex 2 lies inside edge \(0,1\)$"):
+        tg.build(verts, tris)
+
+
 def test_build_isolated_vertex():
     with pytest.raises(tg.DisconnectedOrHoley):
         tg.build([(0, 0), (1, 0), (0, 1), (5, 5)], [(0, 1, 2)])
