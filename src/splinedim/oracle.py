@@ -105,7 +105,11 @@ below r; so it expands the two forms only to that degree.
 
 The frames, the framed forms, sigma, the spokes' order and each tie's map
 depend on the mesh alone, not on d or r.  They are computed once per mesh
-and kept while it lives (_mesh_frames).
+and kept while it lives (_mesh_frames).  So are, for each r called at, the
+powers the rows read, which the mesh and r fix: each edge's signed
+l^(r+1) at its vertices, and each tie form's powers at its far end, up to
+the largest d - r - 1 asked for.  That is no more than the largest call at
+that r reads, and a call at a larger d extends the powers it finds.
 
 Columns run over the spokes grouped by (home, degree), then over the ties by
 (tie, degree), then over the free columns that no row meets: the chords',
@@ -113,11 +117,11 @@ and each counted block's spoke columns less r + 1.  So the ascending sweep
 of pivot_rows eliminates each (vertex, degree) block on its own and only the
 tie columns couple blocks.  Each row has a fixed slot, by vertex, degree and
 monomial.  At a cofactor's home each term of l_tau^(r+1) is one store into a
-slot, and l_tau^(r+1) is expanded once per call for each distinct framed
-form; only at a tie's far end can terms add up (and cancel).  There each of
-the two affine forms L + c is expanded once for every exponent x up to
-d - r - 1, as the sum of comb(x, e) c^(x-e) L^e over the degrees e the far
-end builds, and _power expands L once for all of those e.
+slot, and l_tau^(r+1) is expanded once per r for each distinct framed
+form; only at a tie's far end can terms add up (and cancel).  There the
+x-th power of each of the two affine forms L + c, for x up to d - r - 1,
+is the (x - 1)-th times L + c, cut at the degrees the far end builds:
+below r at a framed far end, every degree at one that keeps (X, Y).
 
 The ideal oracles take the rank of the degree-D multiples of generators
 g^a, g a linear form, in the monomials of degree D.  An invertible linear
@@ -250,24 +254,35 @@ def _power(form: Sequence[int], exponents: Sequence[int]) -> list[dict[tuple[int
     return powers
 
 
-def _affine_powers(form: Sequence[int], n: int, cap: int) -> list[list[tuple[int, int, int]]]:
-    """The terms of degree below cap of (p X + q Y + c)^x, form (p, q, c),
-    for each x up to n, as (X exponent, degree, coefficient) in ascending X
-    exponent, then degree.
+def _affine_powers(powers: list[list[tuple[int, int, int]]], form: Sequence[int], n: int,
+                   cap: int | None) -> None:
+    """Extend powers, the powers (p X + q Y + c)^x of form (p, q, c) for
+    x = 0, 1, ..., to x = n; the powers it holds are kept.
 
-    (L + c)^x holds comb(x, e) c^(x-e) L^e, so only L = p X + q Y is
-    expanded, and only to the powers below cap.
+    Each power lists its terms of degree below cap, all of them when cap is
+    None, as (X exponent, degree, coefficient) in ascending X exponent, then
+    degree.  Power x is power x - 1 times L + c, L = p X + q Y, cut at cap:
+    its term (a, e) is c times the term (a, e) of power x - 1, plus q times
+    (a, e - 1), plus p times (a - 1, e - 1).  It is
+    x! / (a! (e - a)! (x - e)!) p^a q^(e-a) c^(x-e), so it is nonzero exactly
+    where a <= e <= x, and a = 0 unless p != 0, e = a unless q != 0 and e = x
+    unless c != 0.  Those terms, in order, are the ones listed.  L is not
+    zero: p or q is not.
     """
-    *lin, c = form
-    low = _power(lin, range(min(n + 1, cap)))
-    powers = []
-    for x in range(n + 1):
-        terms = []
-        for e in range(min(x, cap - 1) + 1):
-            if ce := comb(x, e) * c ** (x - e):
-                terms += [(a, e, ce * v) for (a, _), v in low[e].items()]
-        powers.append(sorted(terms))
-    return powers
+    p, q, c = form
+    if not powers:
+        powers.append([(0, 0, 1)] if cap is None or cap > 0 else [])
+    if len(powers) > n:
+        return
+    last = {(a, e): v for a, e, v in powers[-1]}
+    for x in range(len(powers), n + 1):
+        top = x if cap is None else min(x, cap - 1)
+        terms = [(a, e, c * last.get((a, e), 0) + q * last.get((a, e - 1), 0)
+                  + p * last.get((a - 1, e - 1), 0))
+                 for a in range(top + 1 if p else min(top + 1, 1))
+                 for e in range(a if c else x, (top if q else a) + 1)]
+        powers.append(terms)
+        last = {(a, e): v for a, e, v in terms}
 
 
 Frame = tuple[tuple[int, int], tuple[int, int]]
@@ -302,9 +317,10 @@ def _frame(tri: tg.Triangulation, v: int, ties: set[int]) -> tuple[Frame, int | 
 _MESH_FRAMES: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _mesh_frames(tri: tg.Triangulation) -> tuple[dict, dict, dict, dict]:
+def _mesh_frames(tri: tg.Triangulation) -> tuple[dict, dict, dict, dict, dict]:
     """What the conformality rows read of the mesh alone, not of d or r,
-    computed once per mesh: free, at, spokes and shift.
+    computed once per mesh: free, at, spokes and shift; and powers, what they
+    read of the mesh and r, filled in as calls need it.
 
     free[v] is interior vertex v's spoke s, or None where v keeps (X, Y) (see
     _frame).  at[v] lists (edge, sigma, form) for each edge at v but s, form
@@ -313,6 +329,16 @@ def _mesh_frames(tri: tg.Triangulation) -> tuple[dict, dict, dict, dict]:
     edges_at order.  shift[i] is tie i's (den, first form, second form): at
     its far end v each of its home frame's forms is an integer affine form in
     v's frame over den.
+
+    powers[r] is (signed, far), made by the first call at r.  signed[v] lists,
+    for each (edge, sigma, form) of at[v], the terms (j, sigma c) of
+    form^(r+1) (_binomial).  far[form, framed] holds the powers (L + c)^x of
+    a tie form at a far end, framed or not (_affine_powers): a framed far
+    end keeps their terms of degree below r, an unframed one all of them.
+    A call with n = d - r - 1 extends each list to x = n and reads powers 0
+    to n only.  So powers[r] holds no more than the largest call at r reads:
+    one lift per edge at its vertices, and each tie form's powers up to the
+    largest n asked for.
     """
     known = _MESH_FRAMES.get(tri)
     if known is not None:
@@ -344,7 +370,7 @@ def _mesh_frames(tri: tg.Triangulation) -> tuple[dict, dict, dict, dict]:
                 for a, b in fu]
         g = gcd(det * lat, *nums[0], *nums[1])
         shift[i] = (det * lat // g, *(tuple(c // g for c in m) for m in nums))
-    _MESH_FRAMES[tri] = known = free, at, spokes, shift
+    _MESH_FRAMES[tri] = known = free, at, spokes, shift, {}
     return known
 
 
@@ -372,17 +398,23 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     if n < 0:
         return [], 0
     edges = tri.edges
-    free, at, spokes, shift = _mesh_frames(tri)
+    free, at, spokes, shift, powers = _mesh_frames(tri)
     # v builds its blocks of degree k < blocks[v]; a framed vertex counts
     # those of degree k >= cut instead
     cut = min(r, n + 1)
     blocks = {v: n + 1 if s is None else cut for v, s in free.items()}
+    if r not in powers:
+        # l^(r+1) once for each distinct framed form, signed for each edge
+        lifts = {form: _binomial(r + 1, *form) for form in {f for fan in at.values() for _, _, f in fan}}
+        powers[r] = ({v: [[(j, sign * c) for j, c in lifts[form]] for _, sign, form in fan]
+                      for v, fan in at.items()}, {})
+    signed, far = powers[r]
     # the powers up to n of each tie's two forms at its far end, but their
-    # terms of the degrees the far end does not build
-    far = {(form, blocks[edges[i].v]) for i, (_, *maps) in shift.items() for form in maps}
-    expanded = {(form, cap): _affine_powers(form, n, cap) for form, cap in far}
-    # l^(r+1) once for each distinct framed form
-    lifts = {form: _binomial(r + 1, *form) for form in {f for fan in at.values() for _, _, f in fan}}
+    # terms of degree r or more at a framed far end, which builds none
+    for i, (_, *maps) in shift.items():
+        framed = free[edges[i].v] is not None
+        for form in maps:
+            _affine_powers(far.setdefault((form, framed), []), form, n, r if framed else None)
     keys = [(i, k) for v in free for k in range(blocks[v]) for i in spokes[v]]
     keys += [(i, k) for i in tri.ties for k in range(n + 1)]
     base = dict(zip(keys, accumulate((k + 1 for _, k in keys), initial=0)))
@@ -399,9 +431,8 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     for v, (vbase, off, top) in slots.items():
         kmax = blocks[v]
-        for i, sign, form in at[v]:
+        for (i, _, _), power in zip(at[v], signed[v]):
             den, *maps = shift.get(i, (1,))
-            power = [(j, sign * c) for j, c in lifts[form]]
             if v != edges[i].v or i not in shift:
                 # at home, column (k, x) reads den^k X'^x Y'^(k-x): one term in
                 # each row x + j up to top; a framed vertex's spokes run x downwards
@@ -418,8 +449,9 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
             # (k-x)-th of the second, whose terms can cancel; a framed far end
             # reads the tie as Y', so there j is 0 and a + b must not pass top,
             # and it builds no row of degree kmax or more
-            px, qy = expanded[maps[0], kmax], expanded[maps[1], kmax]
-            for y, qterms in enumerate(qy):
+            framed = free[v] is not None
+            px, qy = far[maps[0], framed], far[maps[1], framed]
+            for y, qterms in enumerate(qy[:n + 1]):
                 for x in range(n + 1 - y) if qterms else ():
                     col = base[i, x + y] + x
                     acc: dict[int, int] = {}

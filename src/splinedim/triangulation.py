@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from importlib import resources
 from typing import NamedTuple, Sequence
 
@@ -191,17 +192,23 @@ def _check_simple_boundary(lat: list[tuple[int, int]], keys: list[tuple[int, int
     lexicographically smaller endpoint, and one stays active while its
     larger endpoint lies beyond the current segment's smaller one: every
     point of a later segment lies beyond that, so a segment that ends
-    before it can meet none of them.  Cost is O(B log B) plus one test
-    per pair of segments whose spans in that order overlap.
+    before it can meet none of them.  A heap of the active segments' larger
+    endpoints drops each segment once it expires, and the rest keep their
+    order.  Cost is O(B log B) plus one test per pair of segments whose
+    spans in that order overlap.
     """
     segs = sorted((lat[u], lat[v], u, v) if lat[u] < lat[v] else (lat[v], lat[u], v, u)
                   for u, v in keys)
-    active: list[tuple[tuple[int, int], tuple[int, int], int, int]] = []
-    for a, b, i, j in segs:
-        active = [seg for seg in active if seg[1] > a]
-        lo, hi = min(a[1], b[1]), max(a[1], b[1])
-        for c, d, k, m in active:
-            if max(c[1], d[1]) < lo or hi < min(c[1], d[1]):
+    # the active segments with their y-ranges, keyed and ordered by sweep
+    # position, and a heap of their larger endpoints, from which each expires once
+    active: dict[int, tuple[tuple[int, int], tuple[int, int], int, int, int, int]] = {}
+    ends: list[tuple[tuple[int, int], int]] = []
+    for pos, (a, b, i, j) in enumerate(segs):
+        while ends and ends[0][0] <= a:
+            del active[heappop(ends)[1]]
+        lo, hi = (a[1], b[1]) if a[1] < b[1] else (b[1], a[1])
+        for c, d, k, m, clo, chi in active.values():
+            if chi < lo or hi < clo:
                 continue
             if k == i or k == j or m == i or m == j:
                 # a common endpoint rules out a proper crossing; an endpoint can
@@ -221,7 +228,8 @@ def _check_simple_boundary(lat: list[tuple[int, int]], keys: list[tuple[int, int
                                           (o3, a, i, c, d, k, m), (o4, b, j, c, d, k, m)):
                 if o == 0 and p0 < p < p1:
                     raise HangingVertex(f"vertex {w} lies inside edge ({min(u, v)},{max(u, v)})")
-        active.append((a, b, i, j))
+        active[pos] = a, b, i, j, lo, hi
+        heappush(ends, (b, pos))
 
 
 def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> Triangulation:

@@ -134,6 +134,14 @@ MUTANTS = [
     ("f-explicit-upper-r-plus-1", "dimension.py",
      "+ r * s) // s", "+ (r + 1) * s) // s",
      ["tests/test_dimension.py::test_f_explicit_matches_lattice_count_to_r_500"]),
+    # the powers kept per mesh and r: lifts, and far-end lists, made at the
+    # first r called and read at every r after it
+    ("lifts-keyed-by-form-alone", "oracle.py",
+     "    signed, far = powers[r]\n", "    signed, far = next(iter(powers.values()))[0], powers[r][1]\n",
+     ["tests/test_oracle.py::test_warm_rows_equal_cold_rows"]),
+    ("far-lists-keyed-by-form-alone", "oracle.py",
+     "    signed, far = powers[r]\n", "    signed, far = powers[r][0], next(iter(powers.values()))[1]\n",
+     ["tests/test_oracle.py::test_warm_rows_equal_cold_rows"]),
     # powers of linear forms in the ideal oracles
     ("power-binomial-swapped", "oracle.py",
      "c = comb(n, j) * hp[j]", "c = comb(n, j) * hp[n - j]",

@@ -9,7 +9,7 @@ import random
 import re
 import weakref
 from fractions import Fraction as F
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -138,14 +138,51 @@ def test_oracle_pins_tie_by_tie_column_order():
 
 
 def test_mesh_frames_keep_no_mesh_alive():
-    # the per-mesh frames are kept only while the mesh lives
+    # the per-mesh frames, and the powers of each r called at, are kept only
+    # while the mesh lives
     tri = tg.build(*conftest.one_tie_star())
     assert orc.dim_spline_oracle(tri, 5, 1) == referee_dim_spline(tri, 5, 1)
+    assert orc.dim_spline_oracle(tri, 7, 2) == referee_dim_spline(tri, 7, 2)
     assert tri in orc._MESH_FRAMES
+    assert set(orc._MESH_FRAMES[tri][4]) == {1, 2}
     ref = weakref.ref(tri)
     del tri
     gc.collect()
     assert ref() is None
+
+
+def test_far_end_powers_grow_in_place():
+    # rising d at one r extends each far-end list to the largest n = d - r - 1
+    # asked for, keeping the powers it holds, and a smaller d adds nothing
+    tri, r = tg.build(*mesh_data(_FIG2)), 2
+    orc._conformality_rows(tri, r + 1, r)
+    far = orc._MESH_FRAMES[tri][4][r][1]
+    kept = {key: (powers, powers[0]) for key, powers in far.items()}
+    assert kept and all(len(powers) == 1 for powers, _ in kept.values())
+    for d in range(r + 1, r + 21):
+        orc._conformality_rows(tri, d, r)
+    orc._conformality_rows(tri, r + 5, r)
+    assert far.keys() == kept.keys()
+    for key, powers in far.items():
+        assert len(powers) == 20 and powers is kept[key][0] and powers[0] is kept[key][1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(lambda f: f[0] or f[1]),
+       st.lists(st.integers(0, 7), min_size=1, max_size=4), st.one_of(st.none(), st.integers(0, 5)))
+def test_affine_powers_grow_to_the_expansion(form, ns, cap):
+    # grown in steps, each power lists its nonzero terms below cap in ascending
+    # (X exponent, degree), with the multinomial coefficients of (p X + q Y + c)^x
+    p, q, c = form
+    powers = []
+    for n in ns:
+        orc._affine_powers(powers, form, n, cap)
+    assert len(powers) == max(ns) + 1
+    for x, terms in enumerate(powers):
+        assert terms == [(a, e, v) for a in range(x + 1) for e in range(a, x + 1)
+                         if (cap is None or e < cap)
+                         and (v := factorial(x) // (factorial(a) * factorial(e - a) * factorial(x - e))
+                              * p ** a * q ** (e - a) * c ** (x - e))]
 
 
 # ------------------------------------------- spline oracle against the referee
@@ -173,6 +210,38 @@ def referee_meshes(draw):
     if draw(st.booleans()):
         data = draw(affine_images(st.just(data)))
     return tg.build(*data)
+
+
+@st.composite
+def cell_walks(draw):
+    """(d, r) cells with r <= 6 and d <= 3r + 5: runs of rising or falling d,
+    with r drawn again between runs."""
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.integers(0, 6))
+        ds = sorted(draw(st.lists(st.integers(0, 3 * r + 5), min_size=1, max_size=4, unique=True)),
+                    reverse=draw(st.booleans()))
+        cells += [(d, r) for d in ds]
+    return cells
+
+
+_IMAGES = st.sampled_from([_FIG2, _TOH]).map(mesh_data).flatmap(lambda data: affine_images(st.just(data)))
+
+
+# The loaded profile's count when it is larger (--hypothesis-profile=ci: 1000).
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.sampled_from(NAMED_MESHES), _IMAGES.map(lambda data: tg.build(*data))), cell_walks())
+# a far end with two ties, which keeps (X, Y), and framed ones, with r rising and falling
+@example(_MORGAN_SCOTT, [(4, 1), (2, 1), (9, 3), (7, 2), (11, 2)])
+@example(_FIG2, [(3, 2), (9, 2), (6, 1), (10, 4), (8, 2)])
+def test_warm_rows_equal_cold_rows(tri, cells):
+    # each call on a mesh whose record earlier calls filled gives the rows of
+    # the same call on a copy with an empty record
+    warm = tg.build(tri.vertices, tri.triangles)
+    for d, r in cells:
+        assert orc._conformality_rows(warm, d, r) == \
+            orc._conformality_rows(tg.build(tri.vertices, tri.triangles), d, r)
 
 
 _R_AND_D = st.integers(0, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers(0, 2 * r + 4)))
