@@ -6,9 +6,11 @@ piecewise closed form.  The dispatcher runs both and refuses to answer if
 they ever disagree.
 
 Each public function checks its own arguments, in a fixed order.  The
-private cores it calls (_lower_bound, _mesh_bound, _tie_bound, _branch and
-_middle_sum) take them as checked and check none again.  The closed form
-picks its branch with integer tests alone; see dim_explicit.
+private cores it calls (_lower_bound, _mesh_bound, _tie_bound and
+_middle_sum here, and power_ideal's _branch) take them as checked and check
+none again.  The closed form picks its branch once per call, with integer
+tests alone (_branch, on the one statement of both thresholds in
+power_ideal._thresholds).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable
 
 from . import triangulation as tg
 from .exact import binom, check_ints
-from .power_ideal import TiePair, degree_thresholds, homology_dim, homology_regularity
+from .power_ideal import TiePair, _branch, degree_thresholds, homology_dim, homology_regularity
 
 
 METHODS = ("auto", "lattice", "explicit", "oracle")
@@ -156,15 +158,6 @@ def dim_lattice(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     return DimReport(r, d, lower, corr, "lattice")
 
 
-def _branch(s: int, t: int, d: int, r: int) -> int:
-    """0, 1 or 2 as d <= low, low < d <= high or d > high (see dim_explicit)."""
-    if (d - r) * s * (t - 1) <= t * r:
-        return 0
-    if s * t * (d - r + 1) <= (s + t) * (r + 1):
-        return 1
-    return 2
-
-
 def _middle_sum(s: int, t: int, d: int, r: int) -> int:
     """f_explicit's sum, for checked arguments strictly between the thresholds.
 
@@ -203,14 +196,8 @@ def f_explicit(s: int, t: int, d: int, r: int) -> int:
 
 
 def dim_explicit(params: tg.OneTieParams, d: int, r: int) -> DimReport:
-    """Piecewise closed form: companion bound, middle sum, or plain bound.
-
-    The branch is read from degree_thresholds' low = t r / (s (t - 1)) + r
-    and high = (r + 1)/s + (r + 1)/t + r - 1 on integers alone (_branch).
-    As s (t - 1) > 0, d <= low iff (d - r) s (t - 1) <= t r; as s t > 0,
-    d <= high iff d - r + 1 <= (r + 1)(s + t) / (s t), that is iff
-    s t (d - r + 1) <= (s + t)(r + 1).
-    """
+    """Piecewise closed form: companion bound, middle sum, or plain bound,
+    as d <= low, low < d <= high or d > high (_branch)."""
     check_ints("d and r", d, r, low=0)
     _require_nontrivial(params, r)
     p, q, s, t = params.p, params.q, params.s, params.t
@@ -219,12 +206,12 @@ def dim_explicit(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     if branch == 0:
         correction = _tie_bound(p, q, s, t, d, r, 0) - lower
     elif branch == 1:
-        correction = f_explicit(s, t, d, r)
+        correction = _middle_sum(s, t, d, r)
     else:
-        # f_explicit's range is empty exactly here: start >= d - r holds iff
-        # s t (d - r + 1) > (s + t)(r + 1), that is iff d > high.  It refuses
-        # these degrees all the same (OutOfBranch), and its denominator is 0
-        # when s = t = 2, so the plain bound needs its own branch.
+        # _middle_sum's range is empty exactly here: start >= d - r holds iff
+        # s t (d - r + 1) > (s + t)(r + 1), that is iff d > high.  Its
+        # denominator is 0 when s = t = 2, so the plain bound needs its own
+        # branch.
         correction = 0
     return DimReport(r, d, lower, correction, "explicit")
 

@@ -117,11 +117,13 @@ and each counted block's spoke columns less r + 1.  So the ascending sweep
 of pivot_rows eliminates each (vertex, degree) block on its own and only the
 tie columns couple blocks.  Each row has a fixed slot, by vertex, degree and
 monomial.  At a cofactor's home each term of l_tau^(r+1) is one store into a
-slot, and l_tau^(r+1) is expanded once per r for each distinct framed
-form; only at a tie's far end can terms add up (and cancel).  There the
-x-th power of each of the two affine forms L + c, for x up to d - r - 1,
-is the (x - 1)-th times L + c, cut at the degrees the far end builds:
-below r at a framed far end, every degree at one that keeps (X, Y).
+slot; only at a tie's far end can terms add up (and cancel).  One routine
+expands both: the x-th power of an affine form L + c is the (x - 1)-th
+times L + c, cut at the degrees the rows read.  l_tau^(r+1) is power r + 1
+of l_tau + 0, whole, made once per r for each distinct framed form.  Each
+of a tie's two affine forms at its far end is raised to every x up to
+d - r - 1, cut below degree r at a framed far end and whole at one that
+keeps (X, Y).
 
 The ideal oracles take the rank of the degree-D multiples of generators
 g^a, g a linear form, in the monomials of degree D.  An invertible linear
@@ -217,12 +219,6 @@ def _int_linear_form(coeffs: Sequence) -> tuple[int, ...]:
     ints = [v.numerator * (scale // v.denominator) for v in vals]
     g = gcd(*ints)
     return tuple(w // g for w in ints)
-
-
-def _binomial(n: int, p: int, q: int) -> list[tuple[int, int]]:
-    """(j, c) for each nonzero term c X^j of (p X + q)^n, which is also the
-    term c X^j Y^(n-j) of the form (p X + q Y)^n."""
-    return [(j, c) for j in range(n + 1) if (c := comb(n, j) * p ** j * q ** (n - j))]
 
 
 def _power(form: Sequence[int], exponents: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
@@ -332,9 +328,10 @@ def _mesh_frames(tri: tg.Triangulation) -> tuple[dict, dict, dict, dict, dict]:
 
     powers[r] is (signed, far), made by the first call at r.  signed[v] lists,
     for each (edge, sigma, form) of at[v], the terms (j, sigma c) of
-    form^(r+1) (_binomial).  far[form, framed] holds the powers (L + c)^x of
-    a tie form at a far end, framed or not (_affine_powers): a framed far
-    end keeps their terms of degree below r, an unframed one all of them.
+    form^(r+1), power r + 1 of form + 0 (_affine_powers).  far[form, framed]
+    holds the powers (L + c)^x of a tie form at a far end, framed or not
+    (_affine_powers): a framed far end keeps their terms of degree below r,
+    an unframed one all of them.
     A call with n = d - r - 1 extends each list to x = n and reads powers 0
     to n only.  So powers[r] holds no more than the largest call at r reads:
     one lift per edge at its vertices, and each tie form's powers up to the
@@ -404,9 +401,12 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     cut = min(r, n + 1)
     blocks = {v: n + 1 if s is None else cut for v, s in free.items()}
     if r not in powers:
-        # l^(r+1) once for each distinct framed form, signed for each edge
-        lifts = {form: _binomial(r + 1, *form) for form in {f for fan in at.values() for _, _, f in fan}}
-        powers[r] = ({v: [[(j, sign * c) for j, c in lifts[form]] for _, sign, form in fan]
+        # l^(r+1) once for each distinct framed form, as power r + 1 of l + 0,
+        # whose terms all have degree r + 1; signed for each edge
+        lifts = {form: [] for fan in at.values() for _, _, form in fan}
+        for form, lift in lifts.items():
+            _affine_powers(lift, (*form, 0), r + 1, None)
+        powers[r] = ({v: [[(j, sign * c) for j, _, c in lifts[form][r + 1]] for _, sign, form in fan]
                       for v, fan in at.items()}, {})
     signed, far = powers[r]
     # the powers up to n of each tie's two forms at its far end, but their
@@ -447,8 +447,9 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
                 continue
             # at the far end it reads the x-th power of the first form times the
             # (k-x)-th of the second, whose terms can cancel; a framed far end
-            # reads the tie as Y', so there j is 0 and a + b must not pass top,
-            # and it builds no row of degree kmax or more
+            # reads the tie as Y', so there j is 0.  No vertex builds a row of
+            # degree kmax or more, and as a <= ma, b <= mb and kmax <= top, the
+            # terms it keeps have a + b below top
             framed = free[v] is not None
             px, qy = far[maps[0], framed], far[maps[1], framed]
             for y, qterms in enumerate(qy[:n + 1]):
@@ -457,8 +458,6 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
                     acc: dict[int, int] = {}
                     for a, ma, ca in px[x]:
                         for b, mb, cb in qterms:
-                            if a + b > top:
-                                break
                             if ma + mb < kmax:
                                 slot, cab = vbase + off[ma + mb] + a + b, ca * cb
                                 for j, c in power:

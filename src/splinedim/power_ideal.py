@@ -116,19 +116,43 @@ def homology_regularity(tp: TiePair) -> int:
     return base if congruence_case(tp) else base - 1
 
 
+def _thresholds(s: int, t: int, r: int) -> tuple[int, int, int, int]:
+    """The numerator and the denominator of low, then of high, all integers,
+    for 2 <= s <= t and r >= 0; checks nothing.
+
+    low = t r / (s (t - 1)) + r is (t r + r s (t - 1)) / (s (t - 1)), and
+    high = (r + 1)/s + (r + 1)/t + r - 1 is ((r + 1)(s + t) + (r - 1) s t) / (s t).
+    Both denominators are positive, so an integer d is at most a threshold
+    exactly when d times its denominator is at most its numerator.
+    """
+    return t * r + r * s * (t - 1), s * (t - 1), (r + 1) * (s + t) + (r - 1) * s * t, s * t
+
+
+def _branch(s: int, t: int, d: int, r: int) -> int:
+    """0, 1 or 2 as d <= low, low < d <= high or d > high (_thresholds);
+    checks nothing."""
+    low_num, low_den, high_num, high_den = _thresholds(s, t, r)
+    if d * low_den <= low_num:
+        return 0
+    if d * high_den <= high_num:
+        return 1
+    return 2
+
+
 def degree_thresholds(s: int, t: int, r: int) -> tuple[Fraction, Fraction]:
     """The two degrees that split the closed form into three branches.
 
     Up to low = t*r / (s*(t-1)) + r the dimension is the companion mesh's
     lower bound; past high = (r+1)/s + (r+1)/t + r - 1 it is the plain lower
-    bound; in between a finite sum adds to the plain bound.
+    bound; in between a finite sum adds to the plain bound.  Both are read
+    from _thresholds, as _branch reads them.
     """
     check_ints("s, t and r", s, t, r)
     check_ints("r", r, low=0)
     if not 2 <= s <= t:
         raise ValueError(f"need 2 <= s <= t, got {s!r}, {t!r}")
-    return (Fraction(t * r, s * (t - 1)) + r,
-            Fraction(r + 1, s) + Fraction(r + 1, t) + r - 1)
+    low_num, low_den, high_num, high_den = _thresholds(s, t, r)
+    return Fraction(low_num, low_den), Fraction(high_num, high_den)
 
 
 def supersmoothness_threshold(tp: TiePair) -> Fraction:

@@ -114,16 +114,27 @@ MUTANTS = [
     ("spoke-columns-ascending", "oracle.py",
      "down = free[v] is not None and i not in shift", "down = False",
      ["tests/test_oracle.py::test_conformality_rows_contract"]),
+    # a far end's term of degree kmax lands in the next block's rows
+    ("far-end-filter-inclusive", "oracle.py",
+     "if ma + mb < kmax:", "if ma + mb <= kmax:",
+     ["tests/test_oracle.py::test_spline_oracle_matches_referee"]),
     ("far-end-scale-dropped", "oracle.py",
      "shift[i] = (det * lat // g,", "shift[i] = (lat,",
      ["tests/test_oracle.py::test_conformality_rows_meet_the_conditions"]),
-    # the closed form's integer branch tests, d <= low and d <= high
-    ("branch-low-strict", "dimension.py",
-     "if (d - r) * s * (t - 1) <= t * r:", "if (d - r) * s * (t - 1) < t * r:",
+    # the closed form's integer branch tests, d <= low and d <= high; the second
+    # mutant is s t (d - r) <= (s + t)(r + 1) for s t (d - r + 1) <= (s + t)(r + 1)
+    ("branch-low-strict", "power_ideal.py",
+     "if d * low_den <= low_num:", "if d * low_den < low_num:",
      ["tests/test_dimension.py::test_dim_explicit_branch_matches_degree_thresholds"]),
-    ("branch-high-d-minus-r", "dimension.py",
-     "if s * t * (d - r + 1) <= (s + t) * (r + 1):", "if s * t * (d - r) <= (s + t) * (r + 1):",
+    ("branch-high-d-minus-r", "power_ideal.py",
+     "if d * high_den <= high_num:", "if (d - 1) * high_den <= high_num:",
      ["tests/test_dimension.py::test_dim_explicit_branch_matches_degree_thresholds"]),
+    # the one statement of both thresholds, which the branch tests and the
+    # Fractions both read, so only their values can show it
+    ("high-r-times-st", "power_ideal.py",
+     "(r - 1) * s * t, s * t", "r * s * t, s * t",
+     ["tests/test_dimension.py::test_error_precedence",
+      "tests/test_acceptance.py::test_criterion_2_formula_vs_formula"]),
     # the middle branch of the closed form, past the golden tables' r <= 12
     ("f-explicit-start-plus-1", "dimension.py",
      "for i in range(start, d - r):", "for i in range(start + 1, d - r):",

@@ -83,7 +83,7 @@ def test_dim_lattice_on_trivial_mesh_fails(capsys):
 
 @pytest.mark.parametrize("route, message", [
     ("homology_dim", "lattice 136 vs explicit 135"),
-    ("f_explicit", "lattice 135 vs explicit 136"),
+    ("_middle_sum", "lattice 135 vs explicit 136"),
 ])
 def test_dim_route_disagreement_exits_1(capsys, monkeypatch, route, message):
     # d = 12 lies in the middle branch at r = 8, so both routes run and one is off by one

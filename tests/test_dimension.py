@@ -328,10 +328,10 @@ def test_dim_explicit_branch_matches_degree_thresholds(monkeypatch):
     # dim_explicit picks its branch with integer tests; every cell with r <= 40,
     # 2 <= s <= t <= r + 1 and d <= 3r + 5 must take the branch that
     # degree_thresholds' Fractions select.  With each bound replaced by its tie
-    # count and f_explicit by 1, the correction names the branch: 0 - 1 for the
-    # companion bound, 1 for the middle sum and 0 for the plain bound.
+    # count and the middle sum by 1, the correction names the branch: 0 - 1 for
+    # the companion bound, 1 for the middle sum and 0 for the plain bound.
     monkeypatch.setattr(dm, "_tie_bound", lambda *args: args[-1])
-    monkeypatch.setattr(dm, "f_explicit", lambda *args: 1)
+    monkeypatch.setattr(dm, "_middle_sum", lambda *args: 1)
     for r in range(41):
         for t in range(2, r + 2):
             for s in range(2, t + 1):
@@ -439,7 +439,7 @@ def test_dim_auto_figure2(fig2):
 
 @pytest.mark.parametrize("route, message", [
     ("homology_dim", "lattice 136 vs explicit 135"),
-    ("f_explicit", "lattice 135 vs explicit 136"),
+    ("_middle_sum", "lattice 135 vs explicit 136"),
 ])
 def test_dim_auto_refuses_when_the_routes_disagree(fig2, monkeypatch, route, message):
     # (12, 8) is in the middle branch (104/9 < 12 <= 12.25), where both routes count

@@ -200,6 +200,37 @@ NAMED_MESHES = [_FIG2, _TOH, _STRIP, _SQUARE_PAIR, _MIRRORED, conftest.reflect_a
                 conftest.slope_collision_star()]
 
 
+def _jitter_interior(n, m, moves):
+    """The type-1 n x m grid with its interior vertices, in index order, moved
+    by moves; the boundary stays straight."""
+    verts, tris = conftest.grid_data(n, m)
+    inner = [k for k, (x, y) in enumerate(verts) if 0 < x < n and 0 < y < m]
+    for k, (dx, dy) in zip(inner, moves):
+        x, y = verts[k]
+        verts[k] = (x + dx, y + dy)
+    return tg.build(verts, tris)
+
+
+@st.composite
+def interior_jittered_grids(draw):
+    """A type-1 grid of 2..4 x 2..3 cells with each interior vertex moved by
+    at most 1/8 in each coordinate, which keeps every triangle positive.
+
+    Its slopes are generic, so in a row of three interior vertices the
+    middle one, with two ties, keeps (X, Y), the outer ones are framed, and
+    the tie from the middle reads its far end through a dense affine map.
+    """
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    den = draw(st.sampled_from([8, 16, 24, 40]))
+    jitter = st.integers(-den // 8, den // 8).map(lambda k: F(k, den))
+    moves = st.lists(st.tuples(jitter, jitter), min_size=(n - 1) * (m - 1), max_size=(n - 1) * (m - 1))
+    return _jitter_interior(n, m, draw(moves))
+
+
+# the row of three such vertices in a 4 x 2 grid
+_JITTERED_STRIP = _jitter_interior(4, 2, [(F(1, 16), F(-1, 8)), (F(1, 16), 0), (F(1, 8), F(1, 8))])
+
+
 @st.composite
 def referee_meshes(draw):
     """A named mesh, a type-1 grid of up to 3 x 3 cells or a one-tie star,
@@ -235,6 +266,8 @@ _IMAGES = st.sampled_from([_FIG2, _TOH]).map(mesh_data).flatmap(lambda data: aff
 # a far end with two ties, which keeps (X, Y), and framed ones, with r rising and falling
 @example(_MORGAN_SCOTT, [(4, 1), (2, 1), (9, 3), (7, 2), (11, 2)])
 @example(_FIG2, [(3, 2), (9, 2), (6, 1), (10, 4), (8, 2)])
+# a framed far end of a tie whose home keeps (X, Y), through a dense map
+@example(_JITTERED_STRIP, [(8, 3), (10, 3), (9, 3), (5, 1), (11, 4)])
 def test_warm_rows_equal_cold_rows(tri, cells):
     # each call on a mesh whose record earlier calls filled gives the rows of
     # the same call on a copy with an empty record
@@ -278,6 +311,23 @@ _R_AND_D = st.integers(0, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers
 def test_spline_oracle_matches_referee(tri, rd):
     r, d = rd
     assert orc.dim_spline_oracle(tri, d, r, allow_large=True) == referee_dim_spline(tri, d, r)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(interior_jittered_grids(), _R_AND_D)
+@example(_JITTERED_STRIP, (3, 10))
+def test_spline_oracle_on_interior_jittered_grids(tri, rd):
+    # dim either answers, and then with the oracle's value, or refuses a mesh
+    # with several ties, whose dimension is still at least the lower bound
+    r, d = rd
+    oracle = orc.dim_spline_oracle(tri, d, r, allow_large=True)
+    assert oracle == referee_dim_spline(tri, d, r)
+    try:
+        rep = dm.dim(tri, d, r)
+    except dm.UnsupportedTopology:
+        assert dm.schumaker_lower_bound(tri, d, r) <= oracle
+    else:
+        assert rep.total == oracle
 
 
 # ------------------------------------------- the conformality rows' layout
@@ -731,12 +781,12 @@ def _match_full_elimination(gens1, gens2, form, e, d):
 @given(st.data())
 def test_ideal_oracles_match_full_elimination(data):
     # exponent 0 makes a generator 1, so low exponents and high degrees fill every column
-    nvars = data.draw(st.sampled_from([2, 3]))
+    nvars = data.draw(st.sampled_from([2, 3, 4]))
     gens1, gens2 = (data.draw(st.lists(st.tuples(_forms(nvars), st.integers(0, 5)),
                                        min_size=1, max_size=4)) for _ in range(2))
     form = data.draw(_forms(nvars))
     e = data.draw(st.integers(0, 4))
-    d = data.draw(st.integers(-2, 12 if nvars == 2 else 7))
+    d = data.draw(st.integers(-2, {2: 12, 3: 7, 4: 4}[nvars]))
     _match_full_elimination(gens1, gens2, form, e, d)
 
 
@@ -815,7 +865,7 @@ def test_ideal_oracles_invariant_under_coordinate_change(data):
 def test_ideal_frame_contract(data):
     # the frame is the first independent candidates, then coordinate vectors;
     # the k-th of them reads +-x_k in it, every other form c reads c F^-1 scaled
-    nvars = data.draw(st.sampled_from([1, 2, 3]))
+    nvars = data.draw(st.sampled_from([1, 2, 3, 4]))
     cands = [orc._int_linear_form(c) for c in data.draw(st.lists(_forms(nvars), max_size=5))]
     units = [tuple(int(i == k) for i in range(nvars)) for k in range(nvars)]
     frame = []
