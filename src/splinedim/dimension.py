@@ -11,6 +11,12 @@ _middle_sum here, and power_ideal's _branch) take them as checked and check
 none again.  The closed form picks its branch once per call, with integer
 tests alone (_branch, on the one statement of both thresholds in
 power_ideal._thresholds).
+
+_lower_bound is the one routine for the vertex term of the bound, and it
+holds for every slope count, 0 and 1 included, so an upper bound that
+peels vertices can reuse it.  Only the two public bounds that take slope
+counts from outside refuse a vertex with fewer than 2 slopes, through
+_checked_tie_bound; a mesh never has one.
 """
 
 from __future__ import annotations
@@ -43,21 +49,25 @@ class UnsupportedTopology(DimensionError):
 
 
 def _lower_bound(n_interior_edges: int, slope_counts: Iterable[int], d: int, r: int) -> int:
-    """Schumaker's lower bound from the interior edge count and the slope
-    count at each interior vertex.
+    """Schumaker's lower bound from the interior edge count E and the slope
+    count n of each interior vertex, for every n >= 0; checks nothing.
 
-    Counts the base polynomials, one binomial per interior edge, and the
-    division data of each interior vertex: with n distinct slopes, write
-    n*(r+1) = alpha*(n-1) + nu with 0 <= nu < n - 1 and set mu = n - 1 - nu;
-    the pair (mu, nu) weights two binomial terms.
+    L = C(d+2, 2) + E C(d-r+1, 2) - sum over the vertices of the rank
+    S(n, d, r) = sum_{m=r+1}^{d} min(m + 1, n (m - r)) that a vertex with n
+    slopes takes.  The sum of n (m - r) is n C(d-r+1, 2), which the loop takes
+    off the edge coefficient; S falls short of it by the excess
+    sum_m max(0, n (m - r) - (m + 1)), which the loop adds back.  The term
+    n (m - r) - (m + 1) = (n - 1) m - n r - 1 is positive exactly when
+    m >= alpha = floor(n (r + 1) / (n - 1)); with n (r + 1) = alpha (n - 1) + nu,
+    0 <= nu < n - 1 and mu = n - 1 - nu, the excess is
+    mu C(d+2-alpha, 2) + nu C(d+1-alpha, 2).  For n <= 1 the term is
+    negative for every m >= 0, so the excess is 0.
     """
-    total = binom(d + 2, 2)
-    coeff = n_interior_edges
+    total, coeff = binom(d + 2, 2), n_interior_edges
     for n in slope_counts:
-        if n < 2:
-            raise ValueError("an interior vertex carries at least 2 slopes")
-        alpha, nu = divmod(n * (r + 1), n - 1)
-        total += (n - 1 - nu) * binom(d + 2 - alpha, 2) + nu * binom(d + 1 - alpha, 2)
+        if n > 1:
+            alpha, nu = divmod(n * (r + 1), n - 1)
+            total += (n - 1 - nu) * binom(d + 2 - alpha, 2) + nu * binom(d + 1 - alpha, 2)
         coeff -= n
     return total + coeff * binom(d + 1 - r, 2)
 
@@ -79,22 +89,32 @@ def _tie_bound(p: int, q: int, s: int, t: int, d: int, r: int, tie: int) -> int:
     return _lower_bound(p + q + tie, (s + tie, t + tie), d, r)
 
 
+def _checked_tie_bound(p: int, q: int, s: int, t: int, d: int, r: int, tie: int) -> int:
+    """_tie_bound after the checks of the two public bounds that take s and t.
+
+    A vertex inside a mesh carries at least 2 slopes, since build rejects a
+    fan whose edges lie in a closed half-plane; these two bounds take the
+    counts from outside, so they check it here.
+    """
+    check_ints("p, q, s and t", p, q, s, t)
+    check_ints("d and r", d, r, low=0)
+    if min(s, t) + tie < 2:
+        raise ValueError("an interior vertex carries at least 2 slopes")
+    return _tie_bound(p, q, s, t, d, r, tie)
+
+
 def schumaker_lower_bound_params(p: int, q: int, s: int, t: int, d: int, r: int) -> int:
     """Lower bound for the one-totally-interior-edge configuration.
 
     The mesh has p + q + 1 interior edges and two interior vertices whose
     stars carry s + 1 and t + 1 slopes (the shared edge included).
     """
-    check_ints("p, q, s and t", p, q, s, t)
-    check_ints("d and r", d, r, low=0)
-    return _tie_bound(p, q, s, t, d, r, 1)
+    return _checked_tie_bound(p, q, s, t, d, r, 1)
 
 
 def schumaker_lower_bound_prime(p: int, q: int, s: int, t: int, d: int, r: int) -> int:
     """Lower bound for the companion mesh with the totally interior edge removed."""
-    check_ints("p, q, s and t", p, q, s, t)
-    check_ints("d and r", d, r, low=0)
-    return _tie_bound(p, q, s, t, d, r, 0)
+    return _checked_tie_bound(p, q, s, t, d, r, 0)
 
 
 @dataclass(frozen=True)
@@ -154,8 +174,7 @@ def dim_lattice(params: tg.OneTieParams, d: int, r: int) -> DimReport:
     check_ints("d and r", d, r, low=0)
     tp = _require_nontrivial(params, r)
     lower = _tie_bound(params.p, params.q, params.s, params.t, d, r, 1)
-    corr = homology_dim(tp, d)
-    return DimReport(r, d, lower, corr, "lattice")
+    return DimReport(r, d, lower, homology_dim(tp, d), "lattice")
 
 
 def _middle_sum(s: int, t: int, d: int, r: int) -> int:

@@ -63,8 +63,12 @@ def hilbert_colon(a: Iterable[int], e: int, d: int) -> int:
 
 
 def colon_membership(a: Iterable[int], e: int, expo_x: int, expo_y: int) -> bool:
-    """Initial-ideal membership for the colon: shift the y exponent by e."""
+    """Initial-ideal membership for the colon: shift the y exponent by e.
+
+    The exponents are checked as given, before the shift.
+    """
     check_ints("e", e, low=0)
+    check_ints("expo_x and expo_y", expo_x, expo_y, low=0)
     return in_membership(a, expo_x, expo_y + e)
 
 

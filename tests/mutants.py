@@ -75,6 +75,13 @@ MUTANTS = [
     ("lower-bound-drops-a-vertex", "dimension.py",
      "for v in tri.interior_vertices], d, r)", "for v in tri.interior_vertices[1:]], d, r)",
      ["tests/test_mesh_validation.py::test_dim_auto_matches_spline_oracle_on_generated_meshes"]),
+    # the vertex term: no excess below 2 slopes, and mu = n - 1 - nu
+    ("vertex-excess-from-3-slopes", "dimension.py",
+     "if n > 1:", "if n > 2:",
+     ["tests/test_dimension.py::test_lower_bound_is_the_vertex_rank_sum"]),
+    ("vertex-mu-plus-1", "dimension.py",
+     "(n - 1 - nu)", "(n - nu)",
+     ["tests/test_dimension.py::test_lower_bound_is_the_vertex_rank_sum"]),
     ("homology-level-r-plus-2", "power_ideal.py",
      "level = d - (r + 1)", "level = d - (r + 2)",
      ["tests/test_dimension.py::test_dim_at_least_both_bounds"]),

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from splinedim import dimension as dm
 from splinedim import triangulation as tg
 from splinedim.exact import binom
-from splinedim.power_ideal import TiePair, degree_thresholds, homology_dim, homology_regularity
+from splinedim.power_ideal import (TiePair, degree_thresholds, hilbert_power_ideal, homology_dim,
+                                   homology_regularity)
 
 import conftest
 from conftest import affine_images, mesh_data
@@ -81,8 +82,31 @@ def test_vertex_star_data():
     for d in range(0, 20):
         assert dm._lower_bound(4, [4], d, 6) == \
             binom(d + 2, 2) + 2 * binom(d + 2 - 9, 2) + 1 * binom(d + 1 - 9, 2)
-    with pytest.raises(ValueError):
-        dm._lower_bound(3, [1], 5, 3)
+    # one slope takes n C(d-r+1, 2) and leaves no excess: C(7, 2) + (3 - 1) C(3, 2)
+    assert dm._lower_bound(3, [1], 5, 3) == 27
+
+
+def _vertex_rank(n, d, r):
+    """S(n, d, r) = sum_{m=r+1}^{d} min(m + 1, n (m - r)), term by term."""
+    return sum(min(m + 1, n * (m - r)) for m in range(r + 1, d + 1))
+
+
+@given(st.integers(0, 30), st.data())
+def test_lower_bound_is_the_vertex_rank_sum(r, data):
+    # the (mu, nu) division against the literal sum, on drawn vertices and
+    # on one vertex of each slope count 0..r+6; each drawn vertex's term
+    # against the Hilbert function of n (r+1)-th powers of distinct forms
+    d = data.draw(st.integers(0, 3 * r + 7))
+    edges = data.draw(st.integers(0, 30))
+    counts = data.draw(st.lists(st.integers(0, r + 6), max_size=6))
+    assert dm._lower_bound(edges, counts, d, r) == (
+        binom(d + 2, 2) + edges * binom(d - r + 1, 2)
+        - sum(_vertex_rank(n, d, r) for n in counts))
+    terms = [binom(d + 2, 2) - dm._lower_bound(0, [n], d, r) for n in range(r + 7)]
+    assert terms == [_vertex_rank(n, d, r) for n in range(r + 7)]
+    for n in counts:
+        if n >= 1:
+            assert terms[n] == sum(hilbert_power_ideal((r,) * n, k) for k in range(d + 1))
 
 
 def test_check_dr_rejects_negative(fig2):

@@ -243,6 +243,18 @@ def test_argument_contracts(call):
         call()
 
 
+@pytest.mark.parametrize("expo_y, message", [
+    (-1, "expo_x and expo_y must be at least 0, got 0, -1"),
+    (1.5, "expo_x and expo_y must be integers, got 0, 1.5"),
+])
+def test_colon_membership_checks_the_exponents_it_was_given(expo_y, message):
+    # before the shift by e = 3, which would make -1 a valid exponent and
+    # report 1.5 as 4.5
+    with pytest.raises(ValueError) as info:
+        colon_membership([1, 2], 3, 0, expo_y)
+    assert str(info.value) == message
+
+
 # ------------------------------------------------------------- TiePair
 
 def test_tie_pair_validation():
