@@ -15,8 +15,9 @@ power_ideal._thresholds).
 _lower_bound is the one routine for the vertex term of the bound, and it
 holds for every slope count, 0 and 1 included, so an upper bound that
 peels vertices can reuse it.  Only the two public bounds that take slope
-counts from outside refuse a vertex with fewer than 2 slopes, through
-_checked_tie_bound; a mesh never has one.
+counts from outside refuse a vertex with fewer than 2 slopes, and a
+negative edge count p or q, through _checked_tie_bound; a mesh never has
+either.
 """
 
 from __future__ import annotations
@@ -92,12 +93,14 @@ def _tie_bound(p: int, q: int, s: int, t: int, d: int, r: int, tie: int) -> int:
 def _checked_tie_bound(p: int, q: int, s: int, t: int, d: int, r: int, tie: int) -> int:
     """_tie_bound after the checks of the two public bounds that take s and t.
 
-    A vertex inside a mesh carries at least 2 slopes, since build rejects a
-    fan whose edges lie in a closed half-plane; these two bounds take the
-    counts from outside, so they check it here.
+    p and q count edges, so neither is negative, and a vertex inside a mesh
+    carries at least 2 slopes, since build rejects a fan whose edges lie in
+    a closed half-plane; these two bounds take the counts from outside, so
+    they check both here, after the types and d and r.
     """
     check_ints("p, q, s and t", p, q, s, t)
     check_ints("d and r", d, r, low=0)
+    check_ints("p and q", p, q, low=0)
     if min(s, t) + tie < 2:
         raise ValueError("an interior vertex carries at least 2 slopes")
     return _tie_bound(p, q, s, t, d, r, tie)

@@ -117,13 +117,14 @@ and each counted block's spoke columns less r + 1.  So the ascending sweep
 of pivot_rows eliminates each (vertex, degree) block on its own and only the
 tie columns couple blocks.  Each row has a fixed slot, by vertex, degree and
 monomial.  At a cofactor's home each term of l_tau^(r+1) is one store into a
-slot; only at a tie's far end can terms add up (and cancel).  One routine
-expands both: the x-th power of an affine form L + c is the (x - 1)-th
-times L + c, cut at the degrees the rows read.  l_tau^(r+1) is power r + 1
-of l_tau + 0, whole, made once per r for each distinct framed form.  Each
-of a tie's two affine forms at its far end is raised to every x up to
-d - r - 1, cut below degree r at a framed far end and whole at one that
-keeps (X, Y).
+slot; only at a tie's far end can terms add up (and cancel).  Each kind of
+power has one routine.  l_tau^(r+1) is a whole power of a linear form, as
+the ideal oracles' powers are, so _power expands it by the multinomial
+theorem, once per r for each distinct framed form.  Each of a tie's two
+affine forms L + c at its far end is raised to every x up to d - r - 1 by
+_affine_powers: the x-th power is the (x - 1)-th times L + c, cut at a
+degree, below r at a framed far end and below d - r, which keeps every term
+of powers up to d - r - 1, at one that keeps (X, Y).
 
 The ideal oracles take the rank of the degree-D multiples of generators
 g^a, g a linear form, in the monomials of degree D.  An invertible linear
@@ -168,7 +169,7 @@ the second quotient's kept columns follow the first's.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
@@ -221,58 +222,49 @@ def _int_linear_form(coeffs: Sequence) -> tuple[int, ...]:
     return tuple(w // g for w in ints)
 
 
-def _power(form: Sequence[int], exponents: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
-    """The powers of a linear form at each of the exponents, expanded one
-    variable at a time.
+def _power(form: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
+    """The terms of form^n, by the multinomial theorem.
 
     Keys are exponent tuples in descending lex order, values their integer
-    coefficients; monomials with a zero coefficient are left out.  The tail's
-    powers are expanded once for all the exponents.
+    coefficients, each a product of binomials times the form's coefficients'
+    powers.  A variable whose coefficient is 0 is capped at exponent 0, so no
+    monomial with a zero coefficient is listed.
     """
-    head, *rest = form
-    if not rest:
-        return [{(n,): c} if (c := head ** n) else {} for n in exponents]
-    if not head:
-        return [{(0,) + expo: c for expo, c in tail.items()} for tail in _power(rest, exponents)]
-    # (head X + rest)^n holds comb(n, j) head^j X^j times rest^(n - j), and
-    # head^j is hp[j]
-    top = max(exponents, default=-1)
-    tails = [tail.items() for tail in _power(rest, range(top + 1))]
-    hp = list(accumulate(repeat(head, top), mul, initial=1))
-    powers = []
-    for n in exponents:
-        terms = {}
-        for j in range(n, -1, -1):
-            c = comb(n, j) * hp[j]
-            for expo, ct in tails[n - j]:
-                terms[(j,) + expo] = c * ct
-        powers.append(terms)
-    return powers
+    terms = {}
+    for expo in _monomials_exact(len(form), n, [n + 1 if c else 1 for c in form]):
+        left, coeff = n, 1
+        for c, e in zip(form, expo):
+            coeff *= comb(left, e) * c ** e
+            left -= e
+        terms[expo] = coeff
+    return terms
 
 
 def _affine_powers(powers: list[list[tuple[int, int, int]]], form: Sequence[int], n: int,
-                   cap: int | None) -> None:
+                   cap: int) -> None:
     """Extend powers, the powers (p X + q Y + c)^x of form (p, q, c) for
-    x = 0, 1, ..., to x = n; the powers it holds are kept.
+    x = 0, 1, ..., to x = n, each cut at degree cap; the powers it holds are
+    kept.
 
-    Each power lists its terms of degree below cap, all of them when cap is
-    None, as (X exponent, degree, coefficient) in ascending X exponent, then
-    degree.  Power x is power x - 1 times L + c, L = p X + q Y, cut at cap:
-    its term (a, e) is c times the term (a, e) of power x - 1, plus q times
-    (a, e - 1), plus p times (a - 1, e - 1).  It is
-    x! / (a! (e - a)! (x - e)!) p^a q^(e-a) c^(x-e), so it is nonzero exactly
-    where a <= e <= x, and a = 0 unless p != 0, e = a unless q != 0 and e = x
-    unless c != 0.  Those terms, in order, are the ones listed.  L is not
-    zero: p or q is not.
+    Each power lists its terms of degree below cap as (X exponent, degree,
+    coefficient) in ascending X exponent, then degree.  Power x is power
+    x - 1 times L + c, L = p X + q Y, cut at cap: its term (a, e) is c times
+    the term (a, e) of power x - 1, plus q times (a, e - 1), plus p times
+    (a - 1, e - 1).  It is x! / (a! (e - a)! (x - e)!) p^a q^(e-a) c^(x-e),
+    so it is nonzero exactly where a <= e <= x, and a = 0 unless p != 0,
+    e = a unless q != 0 and e = x unless c != 0.  Those terms, in order, are
+    the ones listed.  L is not zero: p or q is not.  A power x has no term of
+    degree above x, so cap n + 1 keeps every term of powers 0 to n; powers a
+    later call adds from them with a larger cap are whole too.
     """
     p, q, c = form
     if not powers:
-        powers.append([(0, 0, 1)] if cap is None or cap > 0 else [])
+        powers.append([(0, 0, 1)] if cap > 0 else [])
     if len(powers) > n:
         return
     last = {(a, e): v for a, e, v in powers[-1]}
     for x in range(len(powers), n + 1):
-        top = x if cap is None else min(x, cap - 1)
+        top = min(x, cap - 1)
         terms = [(a, e, c * last.get((a, e), 0) + q * last.get((a, e - 1), 0)
                   + p * last.get((a - 1, e - 1), 0))
                  for a in range(top + 1 if p else min(top + 1, 1))
@@ -328,8 +320,8 @@ def _mesh_frames(tri: tg.Triangulation) -> tuple[dict, dict, dict, dict, dict]:
 
     powers[r] is (signed, far), made by the first call at r.  signed[v] lists,
     for each (edge, sigma, form) of at[v], the terms (j, sigma c) of
-    form^(r+1), power r + 1 of form + 0 (_affine_powers).  far[form, framed]
-    holds the powers (L + c)^x of a tie form at a far end, framed or not
+    form^(r+1) (_power) in ascending X exponent j.  far[form, framed] holds
+    the powers (L + c)^x of a tie form at a far end, framed or not
     (_affine_powers): a framed far end keeps their terms of degree below r,
     an unframed one all of them.
     A call with n = d - r - 1 extends each list to x = n and reads powers 0
@@ -401,20 +393,20 @@ def _conformality_rows(tri: tg.Triangulation, d: int, r: int) -> tuple[list[dict
     cut = min(r, n + 1)
     blocks = {v: n + 1 if s is None else cut for v, s in free.items()}
     if r not in powers:
-        # l^(r+1) once for each distinct framed form, as power r + 1 of l + 0,
-        # whose terms all have degree r + 1; signed for each edge
-        lifts = {form: [] for fan in at.values() for _, _, form in fan}
-        for form, lift in lifts.items():
-            _affine_powers(lift, (*form, 0), r + 1, None)
-        powers[r] = ({v: [[(j, sign * c) for j, _, c in lifts[form][r + 1]] for _, sign, form in fan]
+        # l^(r+1) once for each distinct framed form, in ascending X exponent;
+        # signed for each edge
+        lifts = {form: [(j, c) for (j, _), c in reversed(_power(form, r + 1).items())]
+                 for form in {f for fan in at.values() for _, _, f in fan}}
+        powers[r] = ({v: [[(j, sign * c) for j, c in lifts[form]] for _, sign, form in fan]
                       for v, fan in at.items()}, {})
     signed, far = powers[r]
-    # the powers up to n of each tie's two forms at its far end, but their
-    # terms of degree r or more at a framed far end, which builds none
+    # the powers up to n of each tie's two forms at its far end, cut below
+    # degree r at a framed far end, which builds no row of degree r or more,
+    # and whole at any other
     for i, (_, *maps) in shift.items():
         framed = free[edges[i].v] is not None
         for form in maps:
-            _affine_powers(far.setdefault((form, framed), []), form, n, r if framed else None)
+            _affine_powers(far.setdefault((form, framed), []), form, n, r if framed else n + 1)
     keys = [(i, k) for v in free for k in range(blocks[v]) for i in spokes[v]]
     keys += [(i, k) for i in tri.ties for k in range(n + 1)]
     base = dict(zip(keys, accumulate((k + 1 for _, k in keys), initial=0)))
@@ -594,8 +586,7 @@ def _framed_basis(gens: Sequence[tuple[tuple[int, ...], int]], cols: list[list[i
             break
         if power not in mults:
             mults[power] = _monomials_exact(nvars, d - power, caps)
-        (terms,) = _power(form, (power,))
-        items = terms.items()
+        items = _power(form, power).items()
         for mono in mults[power]:
             if reduce_row(_row(mono, items, kidx), pivots) and len(pivots) == len(kidx):
                 break
@@ -650,8 +641,7 @@ def hilbert_colon_oracle(generators: Sequence[tuple[Sequence, int]], form: Seque
     cols = _ideal_frame((g for g, _ in _by_power(gens, d + e)), nvars)
     basis, kidx, caps = _framed_basis(gens, cols, d + e)
     # a multiplier at or past a cap gives a row that is covered throughout
-    (zterms,) = _power(_in_frame(z, cols), (e,))
-    items = zterms.items()
+    items = _power(_in_frame(z, cols), e).items()
     zrows = [row for mono in _monomials_exact(nvars, d, caps) if (row := _row(mono, items, kidx))]
     return binom(d + nvars - 1, nvars - 1) - extend_rank(basis, zrows, len(kidx))
 
@@ -673,8 +663,7 @@ def colon_pair_dims(gens1: Sequence[tuple[Sequence, int]], gens2: Sequence[tuple
     cands = c1[:1] + c2[:1] + [(z, e)] + sorted(c1[1:] + c2[1:], key=itemgetter(1))
     cols = _ideal_frame((g for g, _ in cands), nvars)
     (b1, k1, _), (b2, k2, _) = (_framed_basis(gens, cols, d + e) for gens in (g1, g2))
-    (zterms,) = _power(_in_frame(z, cols), (e,))
-    items = zterms.items()
+    items = _power(_in_frame(z, cols), e).items()
     monos = _monomials_exact(nvars, d)
     z1, z2 = ([_row(mono, items, kidx) for mono in monos] for kidx in (k1, k2))
     # the second quotient's columns sit past the first's, so b1 and b2 stay independent

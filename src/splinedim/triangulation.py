@@ -440,7 +440,14 @@ def build(vertices: Sequence[Sequence], triangles: Sequence[Sequence[int]]) -> T
 
 
 def slope_count(tri: Triangulation, vertex: int) -> int:
-    """Number of distinct slopes among the edges through an interior vertex."""
+    """Number of distinct slopes among the edges through an interior vertex.
+
+    vertex is an index into tri.vertices: a bool, another type or an index
+    out of range, negative ones included, is refused with ValueError.
+    """
+    if type(vertex) is not int or not 0 <= vertex < len(tri.vertices):
+        check_ints("vertex", vertex, low=0)
+        raise ValueError(f"vertex must be at most {len(tri.vertices) - 1}, got {vertex!r}")
     if tri.vertex_kind[vertex] != "interior":
         raise NotInteriorVertex(f"vertex {vertex} is not interior")
     return len({tri.edges[e].slope for e in tri.edges_at[vertex]})

@@ -160,13 +160,20 @@ MUTANTS = [
     ("far-lists-keyed-by-form-alone", "oracle.py",
      "    signed, far = powers[r]\n", "    signed, far = powers[r][0], next(iter(powers.values()))[1]\n",
      ["tests/test_oracle.py::test_warm_rows_equal_cold_rows"]),
-    # powers of linear forms in the ideal oracles
-    ("power-binomial-swapped", "oracle.py",
-     "c = comb(n, j) * hp[j]", "c = comb(n, j) * hp[n - j]",
+    # whole powers of linear forms, for the ideal oracles and the spline lifts:
+    # each binomial takes the exponent left, and a zero coefficient caps its
+    # variable at 0
+    ("power-binomial-from-n", "oracle.py",
+     "comb(left, e)", "comb(n, e)",
      ["tests/test_oracle.py::test_power_expands_form"]),
-    ("power-base-case", "oracle.py",
-     "(c := head ** n)", "(c := head)",
+    ("power-keeps-zero-terms", "oracle.py",
+     "if c else 1 for c in form]", "if c else n + 1 for c in form]",
      ["tests/test_oracle.py::test_power_expands_form"]),
+    # an unframed far end cut at degree n loses power n's terms of degree n
+    ("unframed-far-cut-short", "oracle.py",
+     "r if framed else n + 1)", "r if framed else n)",
+     ["tests/test_oracle.py::test_oracle_morgan_scott_special_position",
+      "tests/test_oracle.py::test_spline_oracle_on_interior_jittered_grids"]),
     # the ideal oracles' frame and covered columns
     ("ideal-frame-disabled", "oracle.py",
      "    for form in chain(candidates, units):\n", "    for form in units:\n",

@@ -1,14 +1,19 @@
 """Referee spline dimension: one polynomial per triangle, glued edge by edge.
 
 This is the direct assembly the conformality oracle in splinedim.oracle
-replaced.  It shares nothing with that oracle beyond the rank engine and the
-linear-form helpers, so agreement between the two is a real test.  pytest
-does not collect this module; tests import it.
+replaced.  It shares nothing with that oracle beyond the rank engine, the
+input parsing (_int_linear_form) and the monomial numbering
+(_monomials_exact), so agreement between the two is a real test.  Each
+l^(r+1) comes from ideal_referee.expand_power, not from the oracle's _power,
+which expands the oracle's own lifts.  pytest does not collect this module;
+tests import it.
 """
 
 from splinedim import triangulation as tg
 from splinedim.exact import kernel_dim_sparse
-from splinedim.oracle import _int_linear_form, _monomials_exact, _power
+from splinedim.oracle import _int_linear_form, _monomials_exact
+
+from ideal_referee import expand_power
 
 
 def referee_dim_spline(tri: tg.Triangulation, d: int, r: int) -> int:
@@ -43,7 +48,7 @@ def referee_dim_spline(tri: tg.Triangulation, d: int, r: int) -> int:
             a = q.y - p.y
             b = p.x - q.x
             # the edge's line a*x + b*y + c = 0, homogenized with z first
-            (power,) = _power(_int_linear_form((-(a * p.x + b * p.y), a, b)), (r + 1,))
+            power = expand_power(_int_linear_form((-(a * p.x + b * p.y), a, b)), r + 1)
             for hm, hk in mono_h.items():
                 for pm, pc in power.items():
                     eqs[midx[hm[0] + pm[0], hm[1] + pm[1], hm[2] + pm[2]]][baseh + hk] = -pc

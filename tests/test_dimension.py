@@ -189,6 +189,12 @@ _ERRORS = {
         ((True, 5, 3, 4, -1, 8), ValueError, "p, q, s and t must be integers, got True, 5, 3, 4"),
         ((6, 5, 0, 4, 12, 8), ValueError, "an interior vertex carries at least 2 slopes"),
         ((6, 5, 0, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        ((-40, 0, 3, 4, 12, 8), ValueError, "p and q must be at least 0, got -40, 0"),
+        ((6, -1, 3, 4, 12, 8), ValueError, "p and q must be at least 0, got 6, -1"),
+        ((-1, 5, 3, 2.5, 12, 8), ValueError, "p, q, s and t must be integers, got -1, 5, 3, 2.5"),
+        ((-1, 5, 3, 4, 12, True), ValueError, "d and r must be integers, got 12, True"),
+        ((-1, 5, 3, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
+        ((-1, 5, 0, 4, 12, 8), ValueError, "p and q must be at least 0, got -1, 5"),
     ],
     "schumaker_lower_bound_prime": [
         ((6, True, 3, 4, 12, 8), ValueError, "p, q, s and t must be integers, got 6, True, 3, 4"),
@@ -201,6 +207,8 @@ _ERRORS = {
         ((6, 5, 3, 1, 12, 8), ValueError, "an interior vertex carries at least 2 slopes"),
         ((6, 5, 1, 4, -1, 8), ValueError, "d and r must be at least 0, got -1, 8"),
         ((6, 5, 1, 2.5, 12, 8), ValueError, "p, q, s and t must be integers, got 6, 5, 1, 2.5"),
+        ((-1, -1, 2, 2, 30, 2), ValueError, "p and q must be at least 0, got -1, -1"),
+        ((6, -2, 1, 4, 12, 8), ValueError, "p and q must be at least 0, got 6, -2"),
     ],
     "schumaker_lower_bound": [
         (("FIG2", True, 8), ValueError, "d and r must be integers, got True, 8"),

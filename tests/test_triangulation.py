@@ -76,6 +76,14 @@ def test_slope_count_at_interior_vertices(fig2):
 def test_slope_count_requires_interior(fig2):
     with pytest.raises(tg.NotInteriorVertex):
         tg.slope_count(fig2, 4)
+    # a bool, a float and an index past either end are refused, not read as an index
+    for vertex, message in [(-10, "vertex must be at least 0, got -10"),
+                            (True, "vertex must be an integer, got True"),
+                            (1.0, "vertex must be an integer, got 1.0"),
+                            (11, "vertex must be at most 10, got 11")]:
+        with pytest.raises(ValueError) as info:
+            tg.slope_count(fig2, vertex)
+        assert type(info.value) is ValueError and str(info.value) == message
 
 
 # ----------------------------------------------------- quasi-cross-cut
